@@ -7,7 +7,8 @@ cross-check suite).  Models and distributions come from a flat key=value
 config file (``--model``) and/or flags; flags override the file.
 
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
-closed-form divergence), 2 on configuration errors.  The environment
+closed-form divergence), 2 on configuration errors, out-of-range flag
+values included.  The environment
 variable QPROBE_THREADS caps sweep parallelism.
 """
 
@@ -25,8 +26,6 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, DivergenceError, IllConditionedError, QprobeError
-from .intervals import (ExponentialInterval, FixedInterval, GammaInterval,
-                        IntervalDistribution)
 from .model import DEFAULT_DEGENERACY_TOL, spectral_reduce
 from .superop import build_superops, detection_stats, fn_series, zero_mode_census
 from .trajectory import run_bernoulli, run_per_realization
@@ -77,14 +76,26 @@ def _merged_config(args) -> dict[str, str]:
 
 def _reduce_from_args(args, cfg):
     model = cfgmod.model_from_config(cfg)
-    tol = args.degeneracy_tol if args.degeneracy_tol else DEFAULT_DEGENERACY_TOL
+    tol = DEFAULT_DEGENERACY_TOL if args.degeneracy_tol is None else args.degeneracy_tol
     return model, spectral_reduce(model, degeneracy_tol=tol)
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _write_out(path, fmt: str, doc: dict | None, header: list[str], rows) -> None:
+    """Write ``doc`` as JSON or ``header`` and ``rows`` as CSV, to ``path``
+    or to stdout when ``path`` is None or '-'."""
+    fh = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8",
+                                                     newline="")
+    try:
+        if fmt == "json":
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def cmd_stats(args) -> int:
@@ -117,19 +128,8 @@ def cmd_fn(args) -> int:
     dist = cfgmod.distribution_from_config(cfg)
     series = fn_series(build_superops(sd, dist), args.nmax)
     series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
-    fh, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            json.dump({"config": cfg, "fn": list(series)}, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "fn"])
-            for n, value in enumerate(series, 1):
-                writer.writerow([n, repr(float(value))])
-    finally:
-        if close:
-            fh.close()
+    _write_out(args.out, args.format, {"config": cfg, "fn": list(series)}, ["n", "fn"],
+               ([n, repr(float(value))] for n, value in enumerate(series, 1)))
     return 0
 
 
@@ -155,28 +155,23 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep outputs: {bad}")
 
 
-def _sweep_distribution(cfg, axis: str, value: float) -> IntervalDistribution:
-    kind = cfg.get("dist")
+def _swept_key(cfg, axis: str) -> str:
+    """The config key a sweep axis sets: alpha, or the interval's scale."""
     if axis == "alpha":
-        if kind != "gamma":
+        if cfg.get("dist") != "gamma":
             raise ConfigError("alpha axis requires dist=gamma")
-        return GammaInterval(value, float(cfg["mean"]))
-    if kind == "fixed":
-        return FixedInterval(value)
-    if kind == "exp":
-        return ExponentialInterval(value)
-    if kind == "gamma":
-        return GammaInterval(float(cfg["alpha"]), value)
-    raise ConfigError(f"unknown dist {kind!r}")
+        return "alpha"
+    return "tau" if cfg.get("dist") == "fixed" else "mean"
 
 
 def run_sweep(sd, cfg, spec: SweepSpec, pseudo_inverse: bool = False) -> list[dict]:
     """Evaluate every grid point; per-point failures are flagged in-row."""
+    key = _swept_key(cfg, spec.axis)
 
     def one(value: float) -> dict:
         row = {spec.axis: value}
         try:
-            dist = _sweep_distribution(cfg, spec.axis, value)
+            dist = cfgmod.distribution_from_config({**cfg, key: str(value)})
             sset = build_superops(sd, dist)
             stats = None
             if set(spec.outputs) - {"lambda_max"}:
@@ -210,24 +205,11 @@ def cmd_sweep(args) -> int:
     outputs = tuple(args.outputs.split(",")) if args.outputs else SWEEP_OUTPUTS
     spec = SweepSpec(axis=args.axis, grid=grid, outputs=outputs)
     rows = run_sweep(sd, cfg, spec, pseudo_inverse=args.pseudo_inverse)
-    fh, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            json.dump({"config": cfg, "rows": rows}, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            header = [spec.axis, *spec.outputs, "status"]
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([
-                    repr(float(row[spec.axis])),
-                    *[repr(float(row[o])) if row[o] != "" else "" for o in spec.outputs],
-                    row["status"],
-                ])
-    finally:
-        if close:
-            fh.close()
+    _write_out(args.out, args.format, {"config": cfg, "rows": rows},
+               [spec.axis, *spec.outputs, "status"],
+               ([repr(float(row[spec.axis])),
+                 *[repr(float(row[o])) if row[o] != "" else "" for o in spec.outputs],
+                 row["status"]] for row in rows))
     return 0
 
 
@@ -242,22 +224,14 @@ def cmd_mc(args) -> int:
     else:
         ens = run_per_realization(model, dist, n_real=args.nreal,
                                   n_cut=args.ncut, seed=seed)
-    fh, close = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        if ens.mode == "bernoulli":
-            writer.writerow(["n", "t"])
-            for n, t in zip(ens.attempts, ens.times):
-                writer.writerow([int(n), repr(float(t))])
-        else:
-            writer.writerow(["realization", "nbar"])
-            for i, nb in enumerate(ens.nbar):
-                writer.writerow([i, repr(float(nb))])
-    finally:
-        if close:
-            fh.close()
+    if ens.mode == "bernoulli":
+        _write_out(args.out, "csv", None, ["n", "t"],
+                   ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
+    else:
+        _write_out(args.out, "csv", None, ["realization", "nbar"],
+                   ([i, repr(float(nb))] for i, nb in enumerate(ens.nbar)))
     summary = {"config": cfg, "summary": ens.summary()}
-    stream = sys.stdout if close else sys.stderr
+    stream = sys.stderr if args.out in (None, "-") else sys.stdout
     json.dump(summary, stream, indent=2)
     stream.write("\n")
     return 0
@@ -321,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:     # library argument checks raise ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (IllConditionedError, DivergenceError) as exc:

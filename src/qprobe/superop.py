@@ -15,16 +15,18 @@ series of detection probabilities is then generated by powers of a single
 transfer matrix, and all of its moments reduce to geometric sums, i.e.
 to linear solves against I - transfer.
 
-Two structural facts keep everything cheap: the trace target is rank one
-(so traces collapse to bilinear forms between a source vector and the
-all-ones vector), and the transfer matrix inherits at least 2*Nr - 1 zero
-modes from the measurement projection, leaving at most (Nr-1)^2 active
-decay modes.
+Three structural facts keep everything cheap: the trace target is rank
+one (so traces collapse to bilinear forms between a source vector and the
+all-ones vector); the survival map S = I - p 1^T is a rank-one update of
+the identity, so S (x) S acts on a pair vector X as S X S^T in O(Nr^2)
+and the Nr^2 x Nr^2 matrices are formed only for dense factorizations;
+and the transfer matrix inherits at least 2*Nr - 1 zero modes from the
+measurement projection, leaving at most (Nr-1)^2 active decay modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
@@ -45,10 +47,15 @@ class SuperoperatorSet:
 
     ``phase_avg`` / ``phase_avg_t`` / ``phase_avg_tt`` are the diagonals
     (length Nr^2) of the interval-averaged pair propagator, weighted by
-    tau^0, tau^1, tau^2.  ``proj_kron`` is the Kronecker square of the
-    post-measurement survival map; ``source_vec`` the rank-one source
-    conj(amp_j) * amp_k feeding every trace; ``transfer`` the one-attempt
-    map diag(phase_avg) @ proj_kron and ``resolvent`` is I - transfer.
+    tau^0, tau^1, tau^2; ``p_detect`` the detection weights p_j of the
+    post-measurement survival map S = I - p 1^T; ``source_vec`` the
+    rank-one source conj(amp_j) * amp_k feeding every trace.
+
+    Only these O(Nr^2) arrays are stored.  ``survive`` applies S (x) S in
+    O(Nr^2); the dense Nr^2 x Nr^2 matrices ``proj_kron`` (S (x) S),
+    ``transfer`` (diag(phase_avg) @ proj_kron) and ``resolvent``
+    (I - transfer) are built afresh on every access, for the dense LU,
+    SVD and eigenvalue routines that need them.
     """
 
     dim: int
@@ -56,18 +63,48 @@ class SuperoperatorSet:
     phase_avg: np.ndarray
     phase_avg_t: np.ndarray
     phase_avg_tt: np.ndarray
-    proj_kron: np.ndarray
+    p_detect: np.ndarray
     source_vec: np.ndarray
-    transfer: np.ndarray
-    resolvent: np.ndarray
     is_return: bool
 
     def __post_init__(self):
         for name in ("energies", "phase_avg", "phase_avg_t", "phase_avg_tt",
-                     "proj_kron", "source_vec", "transfer", "resolvent"):
+                     "p_detect", "source_vec"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def survive(self, v: np.ndarray) -> np.ndarray:
+        """(S (x) S) v, computed as S X S^T = X - p r^T - (c - s p) p^T.
+
+        X is v reshaped to Nr x Nr, r its column sums, c its row sums and
+        s its total.
+        """
+        p = self.p_detect
+        x = v.reshape(self.dim, self.dim)
+        r = x.sum(axis=0)
+        c = x.sum(axis=1)
+        return (x - np.outer(p, r) - np.outer(c - r.sum() * p, p)).ravel()
+
+    def _surv(self) -> np.ndarray:
+        return np.eye(self.dim) - np.outer(self.p_detect, np.ones(self.dim))
+
+    @property
+    def proj_kron(self) -> np.ndarray:
+        surv = self._surv()
+        return np.kron(surv, surv)
+
+    @property
+    def transfer(self) -> np.ndarray:
+        return self.phase_avg[:, None] * self.proj_kron
+
+    @property
+    def resolvent(self) -> np.ndarray:
+        """I - transfer in Fortran order, so LAPACK can factor it in place."""
+        surv_t = self._surv().T
+        jt = np.kron(surv_t, surv_t) * -self.phase_avg     # the transpose, C order
+        jt[np.diag_indices_from(jt)] += 1.0
+        return jt.T
 
 
 @dataclass(frozen=True)
@@ -85,17 +122,7 @@ class DetectionStatistics:
     reduced_dim: int
 
     def as_dict(self) -> dict:
-        return {
-            "p_det": self.p_det,
-            "n_mean": self.n_mean,
-            "n_sq": self.n_sq,
-            "t_mean": self.t_mean,
-            "t_sq": self.t_sq,
-            "n_var": self.n_var,
-            "t_var": self.t_var,
-            "condition": self.condition,
-            "reduced_dim": self.reduced_dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -126,22 +153,15 @@ def build_superops(spec: SpectralData, dist: IntervalDistribution) -> Superopera
     phase = np.asarray(dist.charfn(diff), dtype=complex).ravel()
     phase_t = np.asarray(dist.weighted_charfn(diff, 1), dtype=complex).ravel()
     phase_tt = np.asarray(dist.weighted_charfn(diff, 2), dtype=complex).ravel()
-    # survival map: identity minus detection weights broadcast down columns
-    surv = np.eye(n) - np.outer(spec.p_detect, np.ones(n))
-    proj_kron = np.kron(surv, surv)
     source = (spec.cross_amp.conj()[:, None] * spec.cross_amp[None, :]).ravel()
-    transfer = phase[:, None] * proj_kron
-    resolvent = np.eye(n * n, dtype=complex) - transfer
     return SuperoperatorSet(
         dim=n,
         energies=e.copy(),
         phase_avg=phase,
         phase_avg_t=phase_t,
         phase_avg_tt=phase_tt,
-        proj_kron=proj_kron,
+        p_detect=spec.p_detect.copy(),
         source_vec=source,
-        transfer=transfer,
-        resolvent=resolvent,
         is_return=spec.is_return_problem(),
     )
 
@@ -149,8 +169,8 @@ def build_superops(spec: SpectralData, dist: IntervalDistribution) -> Superopera
 def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
     """Averaged detection probabilities <F_1> .. <F_n_max>.
 
-    Iterates the transfer matrix against the rank-one source, so each
-    step costs one dense matrix-vector product on the Nr^2 space.  The
+    Iterates the transfer map against the rank-one source, so each step
+    costs one structured survival product, O(Nr^2).  The
     entries are real up to roundoff; the raw real parts are returned
     without clamping.
     """
@@ -161,23 +181,24 @@ def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
     for i in range(n_max):
         out[i] = v.sum().real
         if i + 1 < n_max:
-            v = sset.transfer @ v
+            v = sset.phase_avg * sset.survive(v)
     return out
 
 
 class _ResolventSolver:
     """Linear solves against the resolvent with conditioning surveillance.
 
-    Uses a partial-pivot LU factorization with one step of iterative
-    refinement; the condition number is estimated from the factorization
-    by the LAPACK reciprocal 1-norm estimator.  The optional pseudo-inverse
-    mode replaces the solves by a truncated-SVD pseudo-inverse (relative
-    singular-value cutoff 1e-10).
+    Uses a partial-pivot LU factorization of the dense resolvent, built
+    once and factored in place, with one step of iterative refinement whose
+    residual applies the resolvent in structured form; the condition number
+    is estimated from the factorization by the LAPACK reciprocal 1-norm
+    estimator.  The optional pseudo-inverse mode replaces the solves by a
+    truncated-SVD pseudo-inverse (relative singular-value cutoff 1e-10).
     """
 
     def __init__(self, sset: SuperoperatorSet, pseudo_inverse: bool = False):
         j = sset.resolvent
-        self._j = j
+        self._sset = sset
         self._pinv = None
         self._lu = None
         if pseudo_inverse:
@@ -189,7 +210,7 @@ class _ResolventSolver:
             return
         anorm = np.linalg.norm(j, 1)
         try:
-            self._lu = lu_factor(j)
+            self._lu = lu_factor(j, overwrite_a=True)
             rcond, info = lapack.zgecon(self._lu[0], anorm, norm="1")
             self.condition = float(1.0 / rcond) if (info == 0 and rcond > 0) else np.inf
         except np.linalg.LinAlgError:
@@ -199,7 +220,8 @@ class _ResolventSolver:
         if self._pinv is not None:
             return self._pinv @ b
         x = lu_solve(self._lu, b)
-        r = b - self._j @ x
+        sset = self._sset
+        r = b - (x - sset.phase_avg * sset.survive(x))
         return x + lu_solve(self._lu, r)
 
 
@@ -253,12 +275,12 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     n_mean = float(f2.sum().real) / p_det
     n_sq = float((2.0 * f3.sum() - f2.sum()).real) / p_det
 
-    surv_f1 = sset.proj_kron @ f1
+    surv_f1 = sset.survive(f1)
     g = solver.solve(sset.phase_avg_t * (surv_f1 + sset.source_vec))
     t_mean = float(g.sum().real) / p_det
     h = solver.solve(
         sset.phase_avg_tt * (surv_f1 + sset.source_vec)
-        + 2.0 * sset.phase_avg_t * (sset.proj_kron @ g)
+        + 2.0 * sset.phase_avg_t * sset.survive(g)
     )
     t_sq = float(h.sum().real) / p_det
 

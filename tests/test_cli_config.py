@@ -259,3 +259,47 @@ def test_cli_verify_quick_in_process(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+RING7 = ["--L", "7", "--gamma", "1", "--xin", "1", "--xd", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dist", "gamma", "--mean", "0.6", "--axis", "mean_tau"],    # no --alpha
+    ["--dist", "gamma", "--alpha", "3", "--axis", "alpha"],        # no --mean
+])
+def test_cli_sweep_missing_key_exits_two(capsys, argv):
+    rc = cli.main(["sweep", *RING7, *argv, "--grid", "1,2"])
+    assert rc == 2
+    assert "config error: missing required key" in capsys.readouterr().err
+
+
+def test_cli_sweep_non_numeric_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text("kind=ring\nL=7\ngamma=1\nx_in=1\nx_d=0\ndist=gamma\nalpha=three\n")
+    rc = cli.main(["sweep", "--model", str(cfg), "--axis", "mean_tau", "--grid", "1,2"])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "0"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "0"],
+    ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "-1"],
+    ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "0"],
+])
+def test_cli_invalid_argument_exits_two(capsys, argv):
+    rc = cli.main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_mc_summary_to_stderr_without_out(capsys):
+    rc = cli.main(["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "50",
+                   "--seed", "2", "--n-abort", "30"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == ["n", "t"]
+    assert json.loads(captured.err)["summary"]["n_real"] == 50

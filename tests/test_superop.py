@@ -13,7 +13,7 @@ from qprobe.errors import DegenerateProblemError, IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import (build_dense, build_ring, build_two_level,
                           spectral_full, spectral_reduce)
-from qprobe.superop import (build_superops, detection_stats, fn_series,
+from qprobe.superop import (PINV_RTOL, build_superops, detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
 from qprobe.verify import stroboscopic_fn_direct
 
@@ -303,3 +303,82 @@ def test_full_space_pseudo_inverse_matches_reduced_p_det():
     s_red = fn_series(build_superops(spectral_reduce(model), dist), 50)
     s_full = fn_series(build_superops(spectral_full(model), dist), 50)
     assert np.max(np.abs(s_red - s_full)) < 1e-12
+
+
+def planted_degeneracy_model():
+    # random unitary times a diagonal with a repeated value, random states
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    h = (q * np.array([-1.3, -0.4, 0.2, 0.2, 0.9, 1.7])) @ q.conj().T
+    h = 0.5 * (h + h.conj().T)
+    psi_in, psi_d = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    return spectral_reduce(build_dense(h, psi_in / np.linalg.norm(psi_in),
+                                       psi_d / np.linalg.norm(psi_d)))
+
+
+CROSS_MODELS = {
+    "two_level": lambda: spectral_reduce(build_two_level(1.0)),
+    "ring7_x1": lambda: spectral_reduce(build_ring(7, 1.0, 1, 0)),
+    "ring6_x1_dark": lambda: spectral_reduce(build_ring(6, 1.0, 1, 0)),
+    "ring24_x12": lambda: spectral_reduce(build_ring(24, 1.0, 12, 0)),
+    "dense_degenerate": planted_degeneracy_model,
+    "full_ring6": lambda: spectral_full(build_ring(6, 1.0, 1, 0)),   # p_j = 0
+}
+CROSS_DISTS = {"fixed": FixedInterval(0.6), "exp": ExponentialInterval(0.6),
+               "gamma": GammaInterval(10.0, 0.6)}
+
+
+def dense_reference_stats(sset, pseudo_inverse):
+    """The moments of detection_stats from dense matrices and a dense solve."""
+    j, k = sset.resolvent, sset.proj_kron
+    if pseudo_inverse:
+        jinv = np.linalg.pinv(j, rcond=PINV_RTOL)
+        solve = lambda b: jinv @ b                                   # noqa: E731
+    else:
+        solve = lambda b: np.linalg.solve(j, b)                      # noqa: E731
+    src = sset.source_vec
+    f1 = solve(sset.phase_avg * src)
+    f2 = solve(f1)
+    f3 = solve(f2)
+    g = solve(sset.phase_avg_t * (k @ f1 + src))
+    h = solve(sset.phase_avg_tt * (k @ f1 + src) + 2.0 * sset.phase_avg_t * (k @ g))
+    p_det = f1.sum().real
+    return {"p_det": p_det, "n_mean": f2.sum().real / p_det,
+            "n_sq": (2.0 * f3.sum() - f2.sum()).real / p_det,
+            "t_mean": g.sum().real / p_det, "t_sq": h.sum().real / p_det}
+
+
+@pytest.mark.parametrize("dist_name", list(CROSS_DISTS))
+@pytest.mark.parametrize("model_name", list(CROSS_MODELS))
+def test_structured_survival_matches_dense_superoperators(model_name, dist_name):
+    sd = CROSS_MODELS[model_name]()
+    dist = CROSS_DISTS[dist_name]
+    sset = build_superops(sd, dist)
+    n = sset.dim
+    # only O(Nr^2) data is held
+    held = [v for v in vars(sset).values() if isinstance(v, np.ndarray)]
+    assert held and all(a.size <= n * n for a in held)
+    # the on-demand dense matrices are the Kronecker construction
+    surv = np.eye(n) - np.outer(sd.p_detect, np.ones(n))
+    assert np.max(np.abs(sset.proj_kron - np.kron(surv, surv))) <= 1e-14
+    transfer = sset.transfer
+    assert np.max(np.abs(transfer - sset.phase_avg[:, None] * np.kron(surv, surv))) <= 1e-14
+    assert np.max(np.abs(sset.resolvent - (np.eye(n * n) - transfer))) <= 1e-14
+    # structured S (x) S apply against the dense product
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    assert np.max(np.abs(sset.survive(v) - sset.proj_kron @ v)) <= 1e-14
+    # fn_series against dense powers of the transfer matrix
+    w = sset.phase_avg * sset.source_vec
+    dense = np.empty(60)
+    for i in range(60):
+        dense[i] = w.sum().real
+        w = transfer @ w
+    assert np.max(np.abs(fn_series(sset, 60) - dense)) <= 1e-14
+    # moments against a dense solve; the full space needs the pseudo-inverse
+    pinv = model_name == "full_ring6"
+    st = detection_stats(sset, dist, pseudo_inverse=pinv)
+    for name, expect in dense_reference_stats(sset, pinv).items():
+        assert getattr(st, name) == pytest.approx(expect, rel=1e-10), name
+    # the in-place factorization leaves the set untouched
+    assert detection_stats(sset, dist, pseudo_inverse=pinv) == st
