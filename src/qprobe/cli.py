@@ -74,10 +74,16 @@ def _merged_config(args) -> dict[str, str]:
     return cfg
 
 
+def _positive(flag: str, value):
+    if not value > 0:
+        raise ConfigError(f"{flag} must be positive, got {value}")
+    return value
+
+
 def _reduce_from_args(args, cfg):
-    model = cfgmod.model_from_config(cfg)
-    tol = DEFAULT_DEGENERACY_TOL if args.degeneracy_tol is None else args.degeneracy_tol
-    return model, spectral_reduce(model, degeneracy_tol=tol)
+    tol = (DEFAULT_DEGENERACY_TOL if args.degeneracy_tol is None
+           else _positive("--degeneracy-tol", args.degeneracy_tol))
+    return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=tol)
 
 
 def _write_out(path, fmt: str, doc: dict | None, header: list[str], rows) -> None:
@@ -100,7 +106,7 @@ def _write_out(path, fmt: str, doc: dict | None, header: list[str], rows) -> Non
 
 def cmd_stats(args) -> int:
     cfg = _merged_config(args)
-    _, sd = _reduce_from_args(args, cfg)
+    sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
     sset = build_superops(sd, dist)
     stats = detection_stats(sset, dist, pseudo_inverse=args.pseudo_inverse)
@@ -124,9 +130,9 @@ def cmd_stats(args) -> int:
 
 def cmd_fn(args) -> int:
     cfg = _merged_config(args)
-    _, sd = _reduce_from_args(args, cfg)
+    sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
-    series = fn_series(build_superops(sd, dist), args.nmax)
+    series = fn_series(build_superops(sd, dist), _positive("--nmax", args.nmax))
     series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
     _write_out(args.out, args.format, {"config": cfg, "fn": list(series)}, ["n", "fn"],
                ([n, repr(float(value))] for n, value in enumerate(series, 1)))
@@ -197,7 +203,7 @@ def run_sweep(sd, cfg, spec: SweepSpec, pseudo_inverse: bool = False) -> list[di
 
 def cmd_sweep(args) -> int:
     cfg = _merged_config(args)
-    _, sd = _reduce_from_args(args, cfg)
+    sd = _reduce_from_args(args, cfg)
     try:
         grid = tuple(float(x) for x in args.grid.replace(",", " ").split())
     except ValueError:
@@ -218,12 +224,14 @@ def cmd_mc(args) -> int:
     model = cfgmod.model_from_config(cfg)
     dist = cfgmod.distribution_from_config(cfg)
     seed = cfgmod.seed_from_config(cfg, default=0)
+    n_real = _positive("--nreal", args.nreal)
     if args.mode == "bernoulli":
-        ens = run_bernoulli(model, dist, n_real=args.nreal, seed=seed,
-                            n_abort=args.n_abort)
+        ens = run_bernoulli(model, dist, n_real=n_real, seed=seed,
+                            n_abort=_positive("--n-abort", args.n_abort))
     else:
-        ens = run_per_realization(model, dist, n_real=args.nreal,
-                                  n_cut=args.ncut, seed=seed)
+        if args.ncut < 2:
+            raise ConfigError(f"--ncut must be >= 2, got {args.ncut}")
+        ens = run_per_realization(model, dist, n_real=n_real, n_cut=args.ncut, seed=seed)
     if ens.mode == "bernoulli":
         _write_out(args.out, "csv", None, ["n", "t"],
                    ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
@@ -295,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:     # library argument checks raise ValueError
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (IllConditionedError, DivergenceError) as exc:

@@ -48,22 +48,15 @@ def load_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
 
 
-def _get_int(cfg: dict, key: str) -> int:
+def _get(cfg: dict, key: str, cast=float):
+    """cfg[key] converted by ``cast`` (float or int), else a ConfigError."""
     try:
-        return int(cfg[key])
+        return cast(cfg[key])
     except KeyError:
         raise ConfigError(f"missing required key {key!r}") from None
     except ValueError:
-        raise ConfigError(f"key {key!r} must be an integer, got {cfg[key]!r}") from None
-
-
-def _get_float(cfg: dict, key: str) -> float:
-    try:
-        return float(cfg[key])
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r}") from None
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be a number, got {cfg[key]!r}") from None
+        what = "an integer" if cast is int else "a number"
+        raise ConfigError(f"key {key!r} must be {what}, got {cfg[key]!r}") from None
 
 
 def _parse_reals(value: str, expected: int, key: str) -> np.ndarray:
@@ -83,12 +76,10 @@ def _interleaved_complex(values: np.ndarray) -> np.ndarray:
 def model_from_config(cfg: dict[str, str]) -> QuantumModel:
     kind = cfg.get("kind", "ring")
     if kind == "ring":
-        L = _get_int(cfg, "L")
-        model = build_ring(L, _get_float(cfg, "gamma"),
-                           _get_int(cfg, "x_in"), _get_int(cfg, "x_d"))
-        return model
+        return build_ring(_get(cfg, "L", int), _get(cfg, "gamma"),
+                          _get(cfg, "x_in", int), _get(cfg, "x_d", int))
     if kind == "dense":
-        n = _get_int(cfg, "n")
+        n = _get(cfg, "n", int)
         if "hamiltonian" not in cfg:
             raise ConfigError("dense model needs the 'hamiltonian' key")
         flat = _parse_reals(cfg["hamiltonian"], 2 * n * n, "hamiltonian")
@@ -96,11 +87,11 @@ def model_from_config(cfg: dict[str, str]) -> QuantumModel:
         if "psi_in" in cfg:
             vin = _interleaved_complex(_parse_reals(cfg["psi_in"], 2 * n, "psi_in"))
         else:
-            vin = basis_state(n, _get_int(cfg, "x_in"))
+            vin = basis_state(n, _get(cfg, "x_in", int))
         if "psi_d" in cfg:
             vd = _interleaved_complex(_parse_reals(cfg["psi_d"], 2 * n, "psi_d"))
         else:
-            vd = basis_state(n, _get_int(cfg, "x_d"))
+            vd = basis_state(n, _get(cfg, "x_d", int))
         return build_dense(h, vin, vd)
     raise ConfigError(f"unknown model kind {kind!r} (expected ring or dense)")
 
@@ -111,11 +102,11 @@ def distribution_from_config(cfg: dict[str, str]) -> IntervalDistribution:
         raise ConfigError("missing required key 'dist'")
     try:
         if dist == "fixed":
-            return FixedInterval(_get_float(cfg, "tau"))
+            return FixedInterval(_get(cfg, "tau"))
         if dist == "exp":
-            return ExponentialInterval(_get_float(cfg, "mean"))
+            return ExponentialInterval(_get(cfg, "mean"))
         if dist == "gamma":
-            return GammaInterval(_get_float(cfg, "alpha"), _get_float(cfg, "mean"))
+            return GammaInterval(_get(cfg, "alpha"), _get(cfg, "mean"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown dist {dist!r} (expected fixed, exp or gamma)")
@@ -124,7 +115,7 @@ def distribution_from_config(cfg: dict[str, str]) -> IntervalDistribution:
 def seed_from_config(cfg: dict[str, str], default: int = 0) -> int:
     if "seed" not in cfg:
         return default
-    seed = _get_int(cfg, "seed")
+    seed = _get(cfg, "seed", int)
     if not 0 <= seed <= _MAX_SEED:
         raise ConfigError(f"seed must fit in unsigned 64 bits, got {seed}")
     return seed

@@ -96,15 +96,20 @@ class SuperoperatorSet:
 
     @property
     def transfer(self) -> np.ndarray:
-        return self.phase_avg[:, None] * self.proj_kron
+        """diag(phase_avg) @ proj_kron in Fortran order: the transpose is
+        built complex and scaled in place, so no other Nr^4 array is made."""
+        surv_t = np.ascontiguousarray(self._surv().T, dtype=complex)
+        t = np.kron(surv_t, surv_t)
+        t *= self.phase_avg
+        return t.T
 
     @property
     def resolvent(self) -> np.ndarray:
         """I - transfer in Fortran order, so LAPACK can factor it in place."""
-        surv_t = self._surv().T
-        jt = np.kron(surv_t, surv_t) * -self.phase_avg     # the transpose, C order
-        jt[np.diag_indices_from(jt)] += 1.0
-        return jt.T
+        j = self.transfer
+        np.negative(j, out=j)
+        j[np.diag_indices_from(j)] += 1.0
+        return j
 
 
 @dataclass(frozen=True)
@@ -188,12 +193,11 @@ def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
 class _ResolventSolver:
     """Linear solves against the resolvent with conditioning surveillance.
 
-    Uses a partial-pivot LU factorization of the dense resolvent, built
-    once and factored in place, with one step of iterative refinement whose
-    residual applies the resolvent in structured form; the condition number
-    is estimated from the factorization by the LAPACK reciprocal 1-norm
-    estimator.  The optional pseudo-inverse mode replaces the solves by a
-    truncated-SVD pseudo-inverse (relative singular-value cutoff 1e-10).
+    Uses a partial-pivot LU factored in place on the dense resolvent, with
+    one step of iterative refinement whose residual applies the resolvent
+    in structured form; the condition number is estimated from the factors
+    by the LAPACK reciprocal 1-norm estimator.  The optional pseudo-inverse
+    mode solves by a truncated-SVD pseudo-inverse (cutoff 1e-10 relative).
     """
 
     def __init__(self, sset: SuperoperatorSet, pseudo_inverse: bool = False):
@@ -208,7 +212,7 @@ class _ResolventSolver:
             smin = s[-1]
             self.condition = float(s[0] / smin) if smin > 0 else np.inf
             return
-        anorm = np.linalg.norm(j, 1)
+        anorm = lapack.zlange("1", j)          # the 1-norm without an abs(J) temporary
         try:
             self._lu = lu_factor(j, overwrite_a=True)
             rcond, info = lapack.zgecon(self._lu[0], anorm, norm="1")
@@ -220,8 +224,7 @@ class _ResolventSolver:
         if self._pinv is not None:
             return self._pinv @ b
         x = lu_solve(self._lu, b)
-        sset = self._sset
-        r = b - (x - sset.phase_avg * sset.survive(x))
+        r = b - x + self._sset.phase_avg * self._sset.survive(x)
         return x + lu_solve(self._lu, r)
 
 

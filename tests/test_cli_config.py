@@ -285,6 +285,9 @@ def test_cli_sweep_non_numeric_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "0"],
     ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "0"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5", "--n-abort", "0"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5",
+     "--mode", "per_realization", "--ncut", "1"],
     ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "-1"],
     ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "0"],
 ])

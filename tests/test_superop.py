@@ -6,6 +6,8 @@ and the structural constraints (zero modes, Hermiticity pairing, rank-one
 source) that the construction must satisfy for any model.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -382,3 +384,19 @@ def test_structured_survival_matches_dense_superoperators(model_name, dist_name)
         assert getattr(st, name) == pytest.approx(expect, rel=1e-10), name
     # the in-place factorization leaves the set untouched
     assert detection_stats(sset, dist, pseudo_inverse=pinv) == st
+
+
+def test_dense_resolvent_is_the_only_nr4_allocation():
+    # building J and factoring it in place allocate one complex Nr^4 array;
+    # check_finite's boolean mask adds 1/16 of that, numpy's ufunc buffers
+    # a fixed ~0.25 MB (Nr = 21 here, J is 3.1 MB)
+    sset = build_superops(spectral_reduce(build_ring(40, 1.0, 20, 0)),
+                          ExponentialInterval(0.6))
+    nr4_bytes = 16 * sset.dim**4
+    for make in (lambda: sset.transfer, lambda: sset.resolvent,
+                 lambda: detection_stats(sset, ExponentialInterval(0.6))):
+        tracemalloc.start()
+        make()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.2 * nr4_bytes
