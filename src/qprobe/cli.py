@@ -7,9 +7,9 @@ cross-check suite).  Models and distributions come from a flat key=value
 config file (``--model``) and/or flags; flags override the file.
 
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
-closed-form divergence), 2 on configuration errors, out-of-range flag
-values included.  The environment
-variable QPROBE_THREADS caps sweep parallelism.
+closed-form divergence), 2 on configuration errors (out-of-range flag
+values and an unwritable --out included) and on degenerate problems.
+The environment variable QPROBE_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import config as cfgmod
 from .errors import ConfigError, DivergenceError, IllConditionedError, QprobeError
 from .model import DEFAULT_DEGENERACY_TOL, spectral_reduce
 from .superop import build_superops, detection_stats, fn_series, zero_mode_census
-from .trajectory import run_bernoulli, run_per_realization
+from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
 from .verify import run_verify
 
 SWEEP_OUTPUTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq", "lambda_max")
@@ -89,8 +89,11 @@ def _reduce_from_args(args, cfg):
 def _write_out(path, fmt: str, doc: dict | None, header: list[str], rows) -> None:
     """Write ``doc`` as JSON or ``header`` and ``rows`` as CSV, to ``path``
     or to stdout when ``path`` is None or '-'."""
-    fh = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8",
-                                                     newline="")
+    try:
+        fh = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8",
+                                                         newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc.strerror}") from exc
     try:
         if fmt == "json":
             json.dump(doc, fh, indent=2)
@@ -228,14 +231,12 @@ def cmd_mc(args) -> int:
     if args.mode == "bernoulli":
         ens = run_bernoulli(model, dist, n_real=n_real, seed=seed,
                             n_abort=_positive("--n-abort", args.n_abort))
+        _write_out(args.out, "csv", None, ["n", "t"],
+                   ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
     else:
         if args.ncut < 2:
             raise ConfigError(f"--ncut must be >= 2, got {args.ncut}")
         ens = run_per_realization(model, dist, n_real=n_real, n_cut=args.ncut, seed=seed)
-    if ens.mode == "bernoulli":
-        _write_out(args.out, "csv", None, ["n", "t"],
-                   ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
-    else:
         _write_out(args.out, "csv", None, ["realization", "nbar"],
                    ([i, repr(float(nb))] for i, nb in enumerate(ens.nbar)))
     summary = {"config": cfg, "summary": ens.summary()}
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--nreal", type=int, required=True, help="realization count")
     p_mc.add_argument("--ncut", type=int, default=200,
                       help="probes per realization (per_realization mode)")
-    p_mc.add_argument("--n-abort", type=int, default=10**6,
+    p_mc.add_argument("--n-abort", type=int, default=DEFAULT_ABORT,
                       help="attempt cap per realization (bernoulli mode)")
     p_mc.add_argument("--out", help="CSV output file; summary JSON goes to stdout")
     p_mc.set_defaults(func=cmd_mc)

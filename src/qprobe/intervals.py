@@ -1,9 +1,10 @@
 """Waiting-time densities for the probing intervals.
 
-Three families are supported: a degenerate (fixed) interval, the
-exponential density, and the Gamma density with fixed mean and shape
-``alpha``.  The Gamma family interpolates between exponential waiting
-times (``alpha = 1``) and strictly periodic probing (``alpha -> inf``).
+Three families are supported: a degenerate (fixed) interval and the
+Gamma density with fixed mean and shape ``alpha``, which interpolates
+between exponential waiting times (``alpha = 1``, the third family, which
+shares the Gamma closed forms and sampler) and periodic probing
+(``alpha -> inf``).
 
 Every family exposes its characteristic function ``<exp(i*delta*tau)>``
 and the tau-weighted variants ``<tau**p * exp(i*delta*tau)>`` (p = 1, 2)
@@ -99,42 +100,6 @@ class FixedInterval(IntervalDistribution):
 
 
 @dataclass(frozen=True)
-class ExponentialInterval(IntervalDistribution):
-    """Exponential waiting times rho(tau) = exp(-tau/mean)/mean."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"exponential mean must be positive, got {self.mu}")
-
-    @property
-    def mean(self) -> float:
-        return self.mu
-
-    @property
-    def variance(self) -> float:
-        return self.mu**2
-
-    def charfn(self, delta):
-        return 1.0 / (1.0 - 1j * np.asarray(delta, dtype=float) * self.mu)
-
-    def weighted_charfn(self, delta, power: int):
-        # <tau**p e^{i d tau}> = p! mu**p / (1 - i d mu)**(p+1)
-        _check_power(power)
-        base = 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu
-        if power == 1:
-            return self.mu / base**2
-        return 2.0 * self.mu**2 / base**3
-
-    def sample(self, rng, size=None):
-        return rng.exponential(self.mu, size)
-
-    def config_items(self):
-        return {"dist": "exp", "mean": self.mu}
-
-
-@dataclass(frozen=True)
 class GammaInterval(IntervalDistribution):
     """Gamma waiting times with shape alpha and fixed mean.
 
@@ -149,7 +114,7 @@ class GammaInterval(IntervalDistribution):
         if not self.alpha > 0:
             raise ValueError(f"gamma shape must be positive, got {self.alpha}")
         if not self.mu > 0:
-            raise ValueError(f"gamma mean must be positive, got {self.mu}")
+            raise ValueError(f"mean interval must be positive, got {self.mu}")
 
     @property
     def mean(self) -> float:
@@ -176,3 +141,14 @@ class GammaInterval(IntervalDistribution):
 
     def config_items(self):
         return {"dist": "gamma", "alpha": self.alpha, "mean": self.mu}
+
+
+@dataclass(frozen=True, init=False)
+class ExponentialInterval(GammaInterval):
+    """Exponential waiting times rho(tau) = exp(-tau/mean)/mean: Gamma at alpha = 1."""
+
+    def __init__(self, mu: float):
+        GammaInterval.__init__(self, 1.0, mu)
+
+    def config_items(self):
+        return {"dist": "exp", "mean": self.mu}

@@ -25,6 +25,7 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 DEFAULT_DEGENERACY_TOL = 1e-9
 DEFAULT_DARK_TOL = 1e-12
+PDET_FLOOR = 1e-14          # detection probability treated as zero
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -64,9 +65,6 @@ class QuantumModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-    def is_return_problem(self) -> bool:
-        return bool(np.allclose(self.psi_in, self.psi_d, atol=1e-14))
 
 
 def basis_state(n: int, k: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import DegenerateProblemError, IllConditionedError
 from .intervals import IntervalDistribution
-from .model import SpectralData
+from .model import PDET_FLOOR, SpectralData
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_ZERO_TOL = 1e-8
@@ -268,7 +268,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     src = sset.phase_avg * sset.source_vec
     f1 = solver.solve(src)                # geometric sum of the series
     p_det = float(f1.sum().real)
-    if p_det < 1e-14:
+    if p_det < PDET_FLOOR:
         raise DegenerateProblemError(
             "detection probability vanishes: the initial state has no overlap "
             "with the bright subspace, so conditional moments are undefined"

@@ -7,13 +7,13 @@ detection happen naturally).  Propagation uses precomputed eigenphases,
 which makes a probing step O(N) per realization, and realizations are
 processed in vectorized chunks.
 
-Two modes are available:
+Both modes share one probe step.  The amplitude is never renormalized,
+so F_n = |<psi_d|c>|**2 is the probability, given the intervals, that
+the first detection happens at probe n.
 
-* ``bernoulli`` draws an actual detection outcome at every probe.  The
-  post-measurement amplitude is never renormalized, so its squared norm
-  tracks the survival probability and the Bernoulli probability is the
-  conditional detection probability given survival.  Realizations that
-  survive past the attempt cap are reported as censored.
+* ``bernoulli`` samples that attempt by inverse transform: one uniform v
+  per realization, detection at the first n with F_1 + ... + F_n > v.
+  Realizations that survive past the attempt cap are censored.
 * ``per_realization`` records the full deterministic detection
   probability profile F_1..F_n_cut of each sampled interval sequence,
   together with its mean attempt number nbar = sum(n F_n)/sum(F_n).
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateProblemError
 from .intervals import IntervalDistribution
-from .model import QuantumModel
+from .model import PDET_FLOOR, QuantumModel
 
 DEFAULT_CHUNK = 1 << 15
 DEFAULT_ABORT = 10**6
@@ -97,7 +98,7 @@ class TrajectoryEnsemble:
             out["nbar_mean"] = float(np.mean(self.nbar))
             out["nbar_var"] = float(np.var(self.nbar, ddof=1))
             dev = self.nbar - np.mean(self.nbar)
-            out["nbar_stderr"] = float(np.sqrt(np.var(self.nbar, ddof=1) / self.n_real))
+            out["nbar_stderr"] = float(np.sqrt(out["nbar_var"] / self.n_real))
             out["nbar_var_stderr"] = float(
                 np.sqrt(max(np.mean(dev**4) - np.var(self.nbar) ** 2, 0.0) / self.n_real)
             )
@@ -120,16 +121,27 @@ def _chunk_generators(seed: int, n_real: int, chunk: int):
             for c, m in zip(children, sizes)]
 
 
+def _probe(c, tau, w, coeff_d):
+    """Evolve row i of ``c`` (eigenbasis amplitudes) for ``tau[i]``, project
+    psi_d out in place and return F = |<psi_d|c>|**2 before the projection."""
+    c *= np.exp(-1j * tau[:, None] * w[None, :])
+    amp = c @ coeff_d.conj()
+    c -= amp[:, None] * coeff_d[None, :]
+    return np.abs(amp) ** 2
+
+
 def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
                   n_real: int, seed: int, n_abort: int = DEFAULT_ABORT,
                   chunk: int = DEFAULT_CHUNK) -> TrajectoryEnsemble:
-    """Sample detection outcomes probe by probe.
+    """Sample the first-detection attempt by inverse transform.
 
-    Records (attempt number, elapsed time) for every detected realization;
-    realizations still undetected after ``n_abort`` probes are censored.
-    Note the cost is proportional to the number of surviving realizations
-    at each attempt, so models with dark overlap (detection probability
-    below one) should use a moderate ``n_abort``.
+    Each realization draws one uniform v before any interval and is
+    detected at the first probe n with F_1 + ... + F_n > v, so
+    P(detect at n | intervals) = F_n.  Records (attempt number, elapsed
+    time) of the detected realizations in realization order; those still
+    undetected after ``n_abort`` probes are censored.  A realization with
+    v above its total detection probability runs all ``n_abort`` probes,
+    so models with dark overlap should use a moderate ``n_abort``.
     """
     if n_abort < 1:
         raise ValueError(f"n_abort must be >= 1, got {n_abort}")
@@ -139,31 +151,26 @@ def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
     attempts_all, times_all = [], []
     censored = 0
     for rng, m in _chunk_generators(seed, n_real, chunk):
+        v = rng.random(m)
         c = np.tile(coeff_in, (m, 1))
-        t_acc = np.zeros(m)
-        n = 0
-        while c.shape[0] and n < n_abort:
-            n += 1
-            tau = np.atleast_1d(dist.sample(rng, c.shape[0]))
-            c *= np.exp(-1j * tau[:, None] * w[None, :])
-            t_acc += tau
-            amp = c @ coeff_d.conj()
-            f = np.abs(amp) ** 2
-            norm2 = np.einsum("ij,ij->i", c.conj(), c).real
-            p_hit = f / np.maximum(norm2, 1e-300)
-            hit = rng.random(c.shape[0]) < p_hit
-            if np.any(hit):
-                attempts_all.append(np.full(int(hit.sum()), n, dtype=np.int64))
-                times_all.append(t_acc[hit])
-            keep = ~hit
-            c = c[keep] - amp[keep, None] * coeff_d[None, :]
-            t_acc = t_acc[keep]
-        censored += c.shape[0]
-    attempts = np.concatenate(attempts_all) if attempts_all else np.empty(0, np.int64)
-    times = np.concatenate(times_all) if times_all else np.empty(0)
+        live, cum = np.arange(m), np.zeros(m)
+        attempt, t_acc = np.zeros(m, dtype=np.int64), np.zeros(m)
+        for n in range(1, n_abort + 1):
+            tau = np.atleast_1d(dist.sample(rng, len(live)))
+            t_acc[live] += tau
+            cum += _probe(c, tau, w, coeff_d)
+            hit = cum > v[live]
+            attempt[live[hit]] = n
+            live, c, cum = live[~hit], c[~hit], cum[~hit]
+            if not len(live):
+                break
+        censored += len(live)
+        attempts_all.append(attempt[attempt > 0])
+        times_all.append(t_acc[attempt > 0])
     return TrajectoryEnsemble(
         mode="bernoulli", n_real=n_real, seed=seed, n_abort=n_abort,
-        attempts=attempts, times=times, censored=censored,
+        attempts=np.concatenate(attempts_all), times=np.concatenate(times_all),
+        censored=censored,
     )
 
 
@@ -185,7 +192,7 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
     w, coeff_in, coeff_d = _eigenphase_setup(model)
     fn_sum = np.zeros(n_cut)
     fn_sq_sum = np.zeros(n_cut)
-    nbar_all, pdet_all = [], []
+    nf_all, pdet_all = [], []
     records = [] if keep_fn else None
     for rng, m in _chunk_generators(seed, n_real, chunk):
         c = np.tile(coeff_in, (m, 1))
@@ -193,26 +200,28 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
         sum_nf = np.zeros(m)
         rec = np.empty((m, n_cut)) if keep_fn else None
         for n in range(1, n_cut + 1):
-            tau = np.atleast_1d(dist.sample(rng, m))
-            c *= np.exp(-1j * tau[:, None] * w[None, :])
-            amp = c @ coeff_d.conj()
-            f = np.abs(amp) ** 2
+            f = _probe(c, np.atleast_1d(dist.sample(rng, m)), w, coeff_d)
             fn_sum[n - 1] += f.sum()
             fn_sq_sum[n - 1] += (f * f).sum()
             sum_f += f
             sum_nf += n * f
             if keep_fn:
                 rec[:, n - 1] = f
-            c -= amp[:, None] * coeff_d[None, :]
-        nbar_all.append(sum_nf / sum_f)
+        nf_all.append(sum_nf)
         pdet_all.append(sum_f)
         if keep_fn:
             records.append(rec)
+    pdet = np.concatenate(pdet_all)
+    if pdet.max() < PDET_FLOOR:
+        raise DegenerateProblemError(
+            "detection probability vanishes in every realization: the initial "
+            "state has no overlap with the bright subspace, so nbar is undefined"
+        )
     fn_mean = fn_sum / n_real
     fn_var = np.maximum(fn_sq_sum / n_real - fn_mean**2, 0.0)
     return TrajectoryEnsemble(
         mode="per_realization", n_real=n_real, seed=seed, n_cut=n_cut,
-        nbar=np.concatenate(nbar_all), pdet=np.concatenate(pdet_all),
+        nbar=np.concatenate(nf_all) / pdet, pdet=pdet,
         fn_mean=fn_mean, fn_stderr=np.sqrt(fn_var / n_real),
         fn_records=np.vstack(records) if keep_fn else None,
     )

@@ -306,3 +306,30 @@ def test_cli_mc_summary_to_stderr_without_out(capsys):
     rows = list(csv.reader(io.StringIO(captured.out)))
     assert rows[0] == ["n", "t"]
     assert json.loads(captured.err)["summary"]["n_real"] == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "3"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5", "--n-abort", "10"],
+])
+def test_cli_unwritable_out_exits_two(tmp_path, capsys, argv):
+    rc = cli.main([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
+
+
+def test_cli_mc_dark_initial_state_exits_two(tmp_path, capsys):
+    # ring 4, psi_in = (|1> - |3>)/sqrt(2) is antisymmetric about the detector
+    amp = repr(float(1 / np.sqrt(2)))
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(
+        "kind=dense\nn=4\nx_d=0\n"
+        "hamiltonian=0,0,-1,0,0,0,-1,0, -1,0,0,0,-1,0,0,0,"
+        " 0,0,-1,0,0,0,-1,0, -1,0,0,0,-1,0,0,0\n"
+        f"psi_in=0,0,{amp},0,0,0,-{amp},0\n")
+    rc = cli.main(["mc", "--model", str(cfg), "--dist", "exp", "--mean", "0.6",
+                   "--mode", "per_realization", "--nreal", "100", "--ncut", "20"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: detection probability vanishes") and err.count("\n") == 1

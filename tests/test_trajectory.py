@@ -9,11 +9,13 @@ distribution.
 import numpy as np
 import pytest
 
+from qprobe.errors import DegenerateProblemError
 from qprobe.intervals import ExponentialInterval, FixedInterval
 from qprobe.model import build_dense, build_ring, build_two_level, spectral_reduce
 from qprobe.superop import build_superops, detection_stats, fn_series
 from qprobe.trajectory import (_chunk_generators, run_bernoulli,
                                run_per_realization)
+from qprobe.verify import stroboscopic_fn_direct
 
 
 def replay_taus(dist, n_real, n_cut, seed, chunk=1 << 15):
@@ -178,3 +180,33 @@ def test_argument_validation():
         run_per_realization(model, dist, n_real=10, n_cut=1, seed=1)
     with pytest.raises(ValueError):
         run_per_realization(model, dist, n_real=0, n_cut=5, seed=1)
+
+
+@pytest.mark.parametrize("L, n_abort", [(5, 300), (6, 200)])
+def test_bernoulli_is_inverse_cdf_of_stroboscopic_profile(L, n_abort):
+    # a fixed interval draws no random numbers, so each realization's one
+    # uniform v fixes its attempt: the first n with F_1 + ... + F_n > v,
+    # read off an independent expm propagation (ring 6: dark overlap)
+    model = build_ring(L, 1.0, 1, 0)
+    tau, n_real, seed, chunk = 0.7, 10000, 2024, 1 << 12
+    ens = run_bernoulli(model, FixedInterval(tau), n_real, seed, n_abort=n_abort,
+                        chunk=chunk)
+    cum = np.cumsum(stroboscopic_fn_direct(model, tau, n_abort))
+    v = np.concatenate([rng.random(m) for rng, m in _chunk_generators(seed, n_real, chunk)])
+    expect = np.searchsorted(cum, v, side="right") + 1
+    assert np.array_equal(ens.attempts, expect[expect <= n_abort])
+    assert ens.censored == np.count_nonzero(expect > n_abort)
+    assert 0 < ens.censored < n_real
+
+
+def test_dark_initial_state_per_realization_raises():
+    # antisymmetric combination about the detection site never shows up there
+    psi_in = np.zeros(4, dtype=complex)
+    psi_in[1], psi_in[3] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    model = build_dense(build_ring(4, 1.0, 0, 0).hamiltonian, psi_in, [1, 0, 0, 0])
+    dist = ExponentialInterval(0.6)
+    with pytest.raises(DegenerateProblemError):
+        run_per_realization(model, dist, n_real=500, n_cut=30, seed=3)
+    # "never detected" is a true answer in bernoulli mode
+    ens = run_bernoulli(model, dist, n_real=500, seed=3, n_abort=30)
+    assert ens.censored == 500 and len(ens.attempts) == 0
