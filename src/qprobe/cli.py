@@ -9,18 +9,19 @@ config file (``--model``) and/or flags; flags override the file.
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
 closed-form divergence), 2 on configuration errors (out-of-range flag
 values and an unwritable --out included) and on degenerate problems.
+Every input is checked, and --out created, before the computation.
 The environment variable QPROBE_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,25 +87,29 @@ def _reduce_from_args(args, cfg):
     return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=tol)
 
 
-def _write_out(path, fmt: str, doc: dict | None, header: list[str], rows) -> None:
-    """Write ``doc`` as JSON or ``header`` and ``rows`` as CSV, to ``path``
-    or to stdout when ``path`` is None or '-'."""
+@contextlib.contextmanager
+def _opened_out(path):
+    """Yield ``path`` opened for writing, or stdout when it is None or '-'."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
     try:
-        fh = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8",
-                                                         newline="")
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {path!r}: {exc.strerror}") from exc
-    try:
-        if fmt == "json":
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    with fh:
+        yield fh
+
+
+def _emit(fh, fmt: str, doc: dict | None, header=(), rows=()) -> None:
+    """Write ``doc`` as JSON, or ``header`` and ``rows`` as CSV, to ``fh``."""
+    if fmt == "json":
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    else:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_stats(args) -> int:
@@ -126,8 +131,7 @@ def cmd_stats(args) -> int:
             "slowest_decay_im": census.slowest_decay.imag,
         },
     }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _emit(sys.stdout, "json", doc)
     return 0
 
 
@@ -135,90 +139,76 @@ def cmd_fn(args) -> int:
     cfg = _merged_config(args)
     sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
-    series = fn_series(build_superops(sd, dist), _positive("--nmax", args.nmax))
-    series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
-    _write_out(args.out, args.format, {"config": cfg, "fn": list(series)}, ["n", "fn"],
-               ([n, repr(float(value))] for n, value in enumerate(series, 1)))
+    nmax = _positive("--nmax", args.nmax)
+    with _opened_out(args.out) as fh:
+        series = fn_series(build_superops(sd, dist), nmax)
+        series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
+        _emit(fh, args.format, {"config": cfg, "fn": list(series)}, ["n", "fn"],
+              ([n, repr(float(value))] for n, value in enumerate(series, 1)))
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-axis parameter scan over a shared model."""
+def run_sweep(sd, axis: str, points, outputs, workers: int,
+              pseudo_inverse: bool) -> list[dict]:
+    """Evaluate every (grid value, interval law) point in order;
+    ill-conditioned points are flagged in-row."""
 
-    axis: str                      # "mean_tau" | "alpha"
-    grid: tuple[float, ...]
-    outputs: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.axis not in ("mean_tau", "alpha"):
-            raise ConfigError(f"sweep axis must be mean_tau or alpha, got {self.axis!r}")
-        if not self.grid:
-            raise ConfigError("sweep grid is empty")
-        if any(g <= 0 for g in self.grid):
-            raise ConfigError("sweep grid values must be positive")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ConfigError("sweep grid must be strictly increasing")
-        bad = [o for o in self.outputs if o not in SWEEP_OUTPUTS]
-        if bad:
-            raise ConfigError(f"unknown sweep outputs: {bad}")
-
-
-def _swept_key(cfg, axis: str) -> str:
-    """The config key a sweep axis sets: alpha, or the interval's scale."""
-    if axis == "alpha":
-        if cfg.get("dist") != "gamma":
-            raise ConfigError("alpha axis requires dist=gamma")
-        return "alpha"
-    return "tau" if cfg.get("dist") == "fixed" else "mean"
-
-
-def run_sweep(sd, cfg, spec: SweepSpec, pseudo_inverse: bool = False) -> list[dict]:
-    """Evaluate every grid point; per-point failures are flagged in-row."""
-    key = _swept_key(cfg, spec.axis)
-
-    def one(value: float) -> dict:
-        row = {spec.axis: value}
+    def one(point) -> dict:
+        value, dist = point
+        row = {axis: value}
         try:
-            dist = cfgmod.distribution_from_config({**cfg, key: str(value)})
             sset = build_superops(sd, dist)
             stats = None
-            if set(spec.outputs) - {"lambda_max"}:
+            if set(outputs) - {"lambda_max"}:
                 stats = detection_stats(sset, dist, pseudo_inverse=pseudo_inverse)
-            for name in spec.outputs:
+            for name in outputs:
                 if name == "lambda_max":
                     row[name] = abs(zero_mode_census(sset).slowest_decay)
                 else:
                     row[name] = getattr(stats, name)
             row["status"] = "ok"
         except IllConditionedError as exc:
-            for name in spec.outputs:
+            for name in outputs:
                 row[name] = ""
             row["status"] = f"ill-conditioned cond~{exc.condition:.3e}"
         return row
 
-    workers = _max_workers()
     if workers == 1:
-        return [one(v) for v in spec.grid]
+        return [one(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, spec.grid))
+        return list(pool.map(one, points))
 
 
 def cmd_sweep(args) -> int:
     cfg = _merged_config(args)
     sd = _reduce_from_args(args, cfg)
     try:
-        grid = tuple(float(x) for x in args.grid.replace(",", " ").split())
+        grid = [float(x) for x in args.grid.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"cannot parse --grid {args.grid!r}") from None
-    outputs = tuple(args.outputs.split(",")) if args.outputs else SWEEP_OUTPUTS
-    spec = SweepSpec(axis=args.axis, grid=grid, outputs=outputs)
-    rows = run_sweep(sd, cfg, spec, pseudo_inverse=args.pseudo_inverse)
-    _write_out(args.out, args.format, {"config": cfg, "rows": rows},
-               [spec.axis, *spec.outputs, "status"],
-               ([repr(float(row[spec.axis])),
-                 *[repr(float(row[o])) if row[o] != "" else "" for o in spec.outputs],
-                 row["status"]] for row in rows))
+    if not grid:
+        raise ConfigError("sweep grid is empty")
+    if any(g <= 0 for g in grid):
+        raise ConfigError("sweep grid values must be positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("sweep grid must be strictly increasing")
+    outputs = args.outputs.split(",") if args.outputs else SWEEP_OUTPUTS
+    bad = [o for o in outputs if o not in SWEEP_OUTPUTS]
+    if bad:
+        raise ConfigError(f"unknown sweep outputs: {bad}")
+    # the config key the axis sets: alpha, or the interval's scale
+    if args.axis == "alpha" and cfg.get("dist") != "gamma":
+        raise ConfigError("alpha axis requires dist=gamma")
+    key = "alpha" if args.axis == "alpha" else "tau" if cfg.get("dist") == "fixed" else "mean"
+    points = [(v, cfgmod.distribution_from_config({**cfg, key: str(v)})) for v in grid]
+    workers = _max_workers()
+    with _opened_out(args.out) as fh:
+        rows = run_sweep(sd, args.axis, points, outputs, workers, args.pseudo_inverse)
+        _emit(fh, args.format, {"config": cfg, "rows": rows},
+              [args.axis, *outputs, "status"],
+              ([repr(float(row[args.axis])),
+                *[repr(float(row[o])) if row[o] != "" else "" for o in outputs],
+                row["status"]] for row in rows))
     return 0
 
 
@@ -228,21 +218,22 @@ def cmd_mc(args) -> int:
     dist = cfgmod.distribution_from_config(cfg)
     seed = cfgmod.seed_from_config(cfg, default=0)
     n_real = _positive("--nreal", args.nreal)
-    if args.mode == "bernoulli":
-        ens = run_bernoulli(model, dist, n_real=n_real, seed=seed,
-                            n_abort=_positive("--n-abort", args.n_abort))
-        _write_out(args.out, "csv", None, ["n", "t"],
-                   ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
-    else:
-        if args.ncut < 2:
-            raise ConfigError(f"--ncut must be >= 2, got {args.ncut}")
-        ens = run_per_realization(model, dist, n_real=n_real, n_cut=args.ncut, seed=seed)
-        _write_out(args.out, "csv", None, ["realization", "nbar"],
-                   ([i, repr(float(nb))] for i, nb in enumerate(ens.nbar)))
-    summary = {"config": cfg, "summary": ens.summary()}
+    bernoulli = args.mode == "bernoulli"
+    if bernoulli:
+        n_abort = _positive("--n-abort", args.n_abort)
+    elif args.ncut < 2:
+        raise ConfigError(f"--ncut must be >= 2, got {args.ncut}")
+    with _opened_out(args.out) as fh:
+        if bernoulli:
+            ens = run_bernoulli(model, dist, n_real=n_real, seed=seed, n_abort=n_abort)
+            _emit(fh, "csv", None, ["n", "t"],
+                  ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
+        else:
+            ens = run_per_realization(model, dist, n_real=n_real, n_cut=args.ncut, seed=seed)
+            _emit(fh, "csv", None, ["realization", "nbar"],
+                  ([i, repr(float(nb))] for i, nb in enumerate(ens.nbar)))
     stream = sys.stderr if args.out in (None, "-") else sys.stdout
-    json.dump(summary, stream, indent=2)
-    stream.write("\n")
+    _emit(stream, "json", {"config": cfg, "summary": ens.summary()})
     return 0
 
 

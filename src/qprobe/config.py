@@ -80,6 +80,8 @@ def model_from_config(cfg: dict[str, str]) -> QuantumModel:
                           _get(cfg, "x_in", int), _get(cfg, "x_d", int))
     if kind == "dense":
         n = _get(cfg, "n", int)
+        if n < 1:
+            raise ConfigError(f"dense model needs n >= 1, got {n}")
         if "hamiltonian" not in cfg:
             raise ConfigError("dense model needs the 'hamiltonian' key")
         flat = _parse_reals(cfg["hamiltonian"], 2 * n * n, "hamiltonian")

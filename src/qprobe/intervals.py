@@ -60,6 +60,14 @@ class IntervalDistribution(ABC):
         """Flat key-value description, echoed back in CLI summaries."""
 
 
+def _check_scale(what: str, value: float) -> None:
+    """Reject a parameter outside 0 < value < inf (nan included)."""
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    if not value < np.inf:
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 def _check_power(power: int) -> None:
     if power not in (1, 2):
         raise ValueError(f"weighted_charfn supports power 1 or 2, got {power!r}")
@@ -72,8 +80,7 @@ class FixedInterval(IntervalDistribution):
     tau0: float
 
     def __post_init__(self):
-        if not self.tau0 > 0:
-            raise ValueError(f"fixed interval must be positive, got {self.tau0}")
+        _check_scale("fixed interval", self.tau0)
 
     @property
     def mean(self) -> float:
@@ -111,10 +118,8 @@ class GammaInterval(IntervalDistribution):
     mu: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"gamma shape must be positive, got {self.alpha}")
-        if not self.mu > 0:
-            raise ValueError(f"mean interval must be positive, got {self.mu}")
+        _check_scale("gamma shape", self.alpha)
+        _check_scale("mean interval", self.mu)
 
     @property
     def mean(self) -> float:

@@ -69,6 +69,8 @@ class QuantumModel:
 
 def basis_state(n: int, k: int) -> np.ndarray:
     """Site basis vector |k> in an n-dimensional space."""
+    if not 0 <= k < n:
+        raise InvalidModelError(f"site index must lie in [0, {n}), got {k}")
     v = np.zeros(n, dtype=complex)
     v[k] = 1.0
     return v
@@ -85,8 +87,6 @@ def build_ring(L: int, gamma: float, x_in: int, x_d: int) -> QuantumModel:
         raise InvalidModelError(f"ring needs at least 2 sites, got L={L}")
     if not gamma > 0:
         raise InvalidModelError(f"hopping strength must be positive, got {gamma}")
-    if not (0 <= x_in < L and 0 <= x_d < L):
-        raise InvalidModelError(f"site indices must lie in [0, {L}), got {x_in}, {x_d}")
     h = np.zeros((L, L), dtype=complex)
     for j in range(L):
         h[j, (j + 1) % L] += -gamma
@@ -163,16 +163,18 @@ class SpectralData:
         )
 
 
-def _cluster_eigenvalues(w: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters of internal spread <= tol."""
-    groups = []
-    start = 0
+def _cluster_starts(w: np.ndarray, tol: float) -> np.ndarray:
+    """Start indices of the clusters of sorted eigenvalues ``w``.
+
+    Each cluster is anchored at its lowest eigenvalue and takes every
+    later one within ``tol`` of it, so no cluster spans more than ``tol``.
+    Neighbours in adjacent clusters may still sit closer than ``tol``.
+    """
+    starts = [0]
     for i in range(1, len(w)):
-        if w[i] - w[start] > tol:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, len(w)))
-    return groups
+        if w[i] - w[starts[-1]] > tol:
+            starts.append(i)
+    return np.array(starts)
 
 
 def spectral_reduce(model: QuantumModel,
@@ -184,34 +186,30 @@ def spectral_reduce(model: QuantumModel,
     of the detection state onto the cluster's eigenspace.  Its phase is
     fixed so the overlap with the detection state is real and positive,
     which makes the output independent of the arbitrary eigenvector
-    phases and of the basis chosen inside degenerate clusters.
+    phases and of the basis chosen inside degenerate clusters.  Each field
+    sums the ``spectral_full`` one over a cluster (energies: the mean).
     """
     if not degeneracy_tol > 0:
         raise ValueError(f"degeneracy_tol must be positive, got {degeneracy_tol}")
-    w, v = np.linalg.eigh(model.hamiltonian)
-    energies, p, q, amp, bright_cols = [], [], [], [], []
-    for idx in _cluster_eigenvalues(w, degeneracy_tol):
-        comp = v[:, idx].conj().T @ model.psi_d   # <E_j|psi_d> within the cluster
-        weight = float(np.sum(np.abs(comp) ** 2))
-        if weight <= dark_tol:
-            continue
-        b = (v[:, idx] @ comp) / np.sqrt(weight)
-        energies.append(float(np.mean(w[idx])))
-        p.append(weight)
-        overlap_in = np.vdot(b, model.psi_in)
-        q.append(float(abs(overlap_in) ** 2))
-        amp.append(np.vdot(model.psi_d, b) * overlap_in)
-        bright_cols.append(b)
-    if not energies:
+    full = spectral_full(model)
+    starts = _cluster_starts(full.energies, degeneracy_tol)
+    p = np.add.reduceat(full.p_detect, starts)
+    keep = p > dark_tol
+    if not keep.any():
         raise DegenerateProblemError(
-            "detection state has no overlap with any energy eigenspace"
-        )
+            "detection state has no overlap with any energy eigenspace")
+    p = p[keep]
+    sizes = np.diff(starts, append=len(full.energies))
+    energies = np.add.reduceat(full.energies, starts) / sizes
+    amp = np.add.reduceat(full.cross_amp, starts)[keep]
+    comp_d = full.bright.conj().T @ model.psi_d          # <E_j|psi_d>
+    bright = np.add.reduceat(full.bright * comp_d, starts, axis=1)[:, keep]
     return SpectralData(
-        energies=np.array(energies),
-        p_detect=np.array(p),
-        p_init=np.array(q),
-        cross_amp=np.array(amp),
-        bright=np.column_stack(bright_cols),
+        energies=energies[keep],
+        p_detect=p,
+        p_init=np.abs(amp) ** 2 / p,
+        cross_amp=amp,
+        bright=bright / np.sqrt(p),
         degeneracy_tol=degeneracy_tol,
         reduced=True,
         label=model.label,

@@ -290,6 +290,10 @@ def test_cli_sweep_non_numeric_key_exits_two(tmp_path, capsys):
      "--mode", "per_realization", "--ncut", "1"],
     ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "-1"],
     ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "0"],
+    ["stats", *RING7, "--dist", "exp", "--mean", "inf"],
+    ["stats", *RING7, "--dist", "fixed", "--tau", "inf"],
+    ["stats", *RING7, "--dist", "gamma", "--alpha", "inf", "--mean", "0.6"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "inf", "--nreal", "10"],
 ])
 def test_cli_invalid_argument_exits_two(capsys, argv):
     rc = cli.main(argv)
@@ -308,28 +312,79 @@ def test_cli_mc_summary_to_stderr_without_out(capsys):
     assert json.loads(captured.err)["summary"]["n_real"] == 50
 
 
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Make every compute entry point the CLI calls fail if reached."""
+    def reached(*args, **kwargs):
+        raise AssertionError("computation started before --out was opened")
+    for name in ("fn_series", "detection_stats", "zero_mode_census",
+                 "run_bernoulli", "run_per_realization"):
+        monkeypatch.setattr(cli, name, reached)
+
+
 @pytest.mark.parametrize("argv", [
     ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "3"],
     ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5", "--n-abort", "10"],
+    ["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau", "--grid", "0.5,1"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5",
+     "--mode", "per_realization"],
 ])
-def test_cli_unwritable_out_exits_two(tmp_path, capsys, argv):
+def test_cli_unwritable_out_exits_two(tmp_path, capsys, no_compute, argv):
     rc = cli.main([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
 
 
+# ring 4, psi_in = (|1> - |3>)/sqrt(2) is antisymmetric about the detector
+_AMP = repr(float(1 / np.sqrt(2)))
+DARK_RING4 = (
+    "kind=dense\nn=4\nx_d=0\n"
+    "hamiltonian=0,0,-1,0,0,0,-1,0, -1,0,0,0,-1,0,0,0,"
+    " 0,0,-1,0,0,0,-1,0, -1,0,0,0,-1,0,0,0\n"
+    f"psi_in=0,0,{_AMP},0,0,0,-{_AMP},0\n")
+
+
 def test_cli_mc_dark_initial_state_exits_two(tmp_path, capsys):
-    # ring 4, psi_in = (|1> - |3>)/sqrt(2) is antisymmetric about the detector
-    amp = repr(float(1 / np.sqrt(2)))
     cfg = tmp_path / "dark.cfg"
-    cfg.write_text(
-        "kind=dense\nn=4\nx_d=0\n"
-        "hamiltonian=0,0,-1,0,0,0,-1,0, -1,0,0,0,-1,0,0,0,"
-        " 0,0,-1,0,0,0,-1,0, -1,0,0,0,-1,0,0,0\n"
-        f"psi_in=0,0,{amp},0,0,0,-{amp},0\n")
+    cfg.write_text(DARK_RING4)
     rc = cli.main(["mc", "--model", str(cfg), "--dist", "exp", "--mean", "0.6",
                    "--mode", "per_realization", "--nreal", "100", "--ncut", "20"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: detection probability vanishes") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("keys, expect", [
+    ("x_in=5\n", "error: site index must lie in [0, 2), got 5"),
+    ("x_in=-1\n", "error: site index must lie in [0, 2), got -1"),
+    ("x_d=2\n", "error: site index must lie in [0, 2), got 2"),
+    ("n=0\nhamiltonian=\n", "config error: dense model needs n >= 1, got 0"),
+    ("n=-1\nhamiltonian=0,0\n", "config error: dense model needs n >= 1, got -1"),
+], ids=["x_in=5", "x_in=-1", "x_d=2", "n=0", "n=-1"])
+def test_cli_dense_bad_size_or_site_exits_two(tmp_path, capsys, keys, expect):
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(TLS_DENSE + keys)       # later keys win
+    rc = cli.main(["stats", "--model", str(cfg), "--dist", "exp", "--mean", "0.6"])
+    assert rc == 2
+    assert capsys.readouterr().err == expect + "\n"
+
+
+def test_cli_sweep_non_finite_grid_fails_before_compute(capsys, no_compute):
+    rc = cli.main(["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau",
+                   "--grid", "0.5,inf"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_out_truncated_before_run(tmp_path, capsys):
+    cfg, out = tmp_path / "dark.cfg", tmp_path / "x.csv"
+    cfg.write_text(DARK_RING4)
+    out.write_text("stale\n")
+    base = ["mc", "--model", str(cfg), "--dist", "exp", "--mean", "0.6",
+            "--mode", "per_realization", "--out", str(out)]
+    assert cli.main([*base, "--nreal", "0"]) == 2
+    assert out.read_text() == "stale\n"          # bad input: --out never opened
+    assert cli.main([*base, "--nreal", "100"]) == 2
+    assert out.read_text() == ""                 # the run failed after opening it

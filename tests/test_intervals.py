@@ -206,3 +206,15 @@ def test_invalid_parameters_rejected():
         GammaInterval(1.0, -0.6)
     with pytest.raises(ValueError):
         ExponentialInterval(0.6).weighted_charfn(1.0, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: FixedInterval(x),
+    lambda x: ExponentialInterval(x),
+    lambda x: GammaInterval(x, 0.6),
+    lambda x: GammaInterval(2.0, x),
+])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_parameters_rejected(make, value):
+    with pytest.raises(ValueError):
+        make(value)

@@ -42,6 +42,12 @@ def test_ring_rejects_bad_arguments():
         build_ring(5, 1.0, 0, 5)
 
 
+@pytest.mark.parametrize("k", [-1, 2, 5])
+def test_basis_state_rejects_site_out_of_range(k):
+    with pytest.raises(InvalidModelError):
+        basis_state(2, k)
+
+
 def test_model_validation():
     h = np.array([[0.0, 1.0], [0.5, 0.0]])   # not Hermitian
     with pytest.raises(InvalidModelError):
@@ -146,6 +152,20 @@ def test_eigenvector_rephasing_invariance():
     assert np.allclose(sd.p_detect, sd2.p_detect, atol=1e-10)
     assert np.allclose(sd.p_init, sd2.p_init, atol=1e-10)
     assert np.allclose(sd.cross_amp, sd2.cross_amp, atol=1e-10)
+
+
+def test_clusters_anchor_at_lowest_eigenvalue():
+    # 0, 0.6e-9 and 1.2e-9 chain within degeneracy_tol = 1e-9, but a cluster
+    # spans at most the tolerance from its lowest member: {0, 0.6e-9} and
+    # {1.2e-9}, whose energies then sit only 0.9e-9 apart
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    h = (u * np.array([0.0, 0.6e-9, 1.2e-9, 1.0, 2.0])) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    psi_d = u @ np.full(5, 1 / np.sqrt(5))      # bright on every eigenvector
+    sd = spectral_reduce(build_dense(h, psi_d, psi_d), degeneracy_tol=1e-9)
+    assert sd.reduced_dim == 4
+    assert np.allclose(sd.energies, [0.3e-9, 1.2e-9, 1.0, 2.0], rtol=0, atol=1e-12)
 
 
 def test_all_dark_detection_raises():
