@@ -76,8 +76,8 @@ def _merged_config(args) -> dict[str, str]:
 
 
 def _positive(flag: str, value):
-    if not value > 0:
-        raise ConfigError(f"{flag} must be positive, got {value}")
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
     return value
 
 
@@ -119,10 +119,12 @@ def cmd_stats(args) -> int:
     sset = build_superops(sd, dist)
     stats = detection_stats(sset, dist, pseudo_inverse=args.pseudo_inverse)
     census = zero_mode_census(sset)
+    moments = stats.as_dict()
+    diagnostics = {key: moments.pop(key) for key in ("backend", "residual")}
     doc = {
         "config": cfg,
         "reduced_dim": sd.reduced_dim,
-        "stats": stats.as_dict(),
+        "stats": moments,
         "zero_modes": {
             "n_zero": census.n_zero,
             "n_nonzero": census.n_nonzero,
@@ -130,6 +132,7 @@ def cmd_stats(args) -> int:
             "slowest_decay_re": census.slowest_decay.real,
             "slowest_decay_im": census.slowest_decay.imag,
         },
+        "diagnostics": diagnostics,
     }
     _emit(sys.stdout, "json", doc)
     return 0

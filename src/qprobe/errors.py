@@ -30,16 +30,23 @@ class IllConditionedError(QprobeError):
     |phi|) whose averaged phase factor phi = charfn(E_j - E_k) is near 1,
     closest first, which is the structure that drives the singularity
     (near-degenerate evolution, exceptional probing period, or a
-    waiting-time density collapsing to a point).
+    waiting-time density collapsing to a point).  ``p_min`` and
+    ``p_min_index`` give the smallest detection weight p_j, the other
+    cause: the moments grow like 1/p_min, so a tiny p_j alone can trip
+    the gate with no pair listed.
     """
 
-    def __init__(self, condition: float, pairs: list[tuple[int, int, float]]):
+    def __init__(self, condition: float, pairs: list[tuple[int, int, float]],
+                 p_min: float | None = None, p_min_index: int | None = None):
         self.condition = condition
         self.pairs = pairs
+        self.p_min = p_min
+        self.p_min_index = p_min_index
         detail = ", ".join(f"({i},{j}) |phi|={m:.12f}" for i, j, m in pairs[:8])
         if len(pairs) > 8:
             detail += f", ... ({len(pairs)} pairs total)"
-        super().__init__(
-            f"linear system is ill-conditioned (cond ~ {condition:.3e}); "
-            f"energy pairs with charfn near 1, closest first: [{detail}]"
-        )
+        message = (f"linear system is ill-conditioned (cond ~ {condition:.3e}); "
+                   f"energy pairs with charfn near 1, closest first: [{detail}]")
+        if p_min is not None:
+            message += f"; smallest detection weight p[{p_min_index}] = {p_min:.3e}"
+        super().__init__(message)

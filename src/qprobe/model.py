@@ -48,12 +48,15 @@ class QuantumModel:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise InvalidModelError(f"hamiltonian must be square, got shape {h.shape}")
         n = h.shape[0]
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-            raise InvalidModelError("hamiltonian is not Hermitian within 1e-12")
         vin = np.asarray(self.psi_in, dtype=complex).reshape(-1)
         vd = np.asarray(self.psi_d, dtype=complex).reshape(-1)
         if vin.shape != (n,) or vd.shape != (n,):
             raise InvalidModelError("state vectors must match the Hamiltonian dimension")
+        for name, arr in (("hamiltonian", h), ("psi_in", vin), ("psi_d", vd)):
+            if not np.isfinite(arr).all():
+                raise InvalidModelError(f"{name} has a non-finite entry")
+        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+            raise InvalidModelError("hamiltonian is not Hermitian within 1e-12")
         if abs(np.linalg.norm(vin) - 1.0) > NORM_TOL:
             raise InvalidModelError("psi_in is not normalized within 1e-12")
         if abs(np.linalg.norm(vd) - 1.0) > NORM_TOL:
@@ -189,8 +192,8 @@ def spectral_reduce(model: QuantumModel,
     phases and of the basis chosen inside degenerate clusters.  Each field
     sums the ``spectral_full`` one over a cluster (energies: the mean).
     """
-    if not degeneracy_tol > 0:
-        raise ValueError(f"degeneracy_tol must be positive, got {degeneracy_tol}")
+    if not 0 < degeneracy_tol < np.inf:
+        raise ValueError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
     full = spectral_full(model)
     starts = _cluster_starts(full.energies, degeneracy_tol)
     p = np.add.reduceat(full.p_detect, starts)

@@ -18,10 +18,16 @@ to linear solves against I - transfer.
 Three structural facts keep everything cheap: the trace target is rank
 one (so traces collapse to bilinear forms between a source vector and the
 all-ones vector); the survival map S = I - p 1^T is a rank-one update of
-the identity, so S (x) S acts on a pair vector X as S X S^T in O(Nr^2)
-and the Nr^2 x Nr^2 matrices are formed only for dense factorizations;
+the identity, so S (x) S acts on a pair vector X as S X S^T in O(Nr^2);
 and the transfer matrix inherits at least 2*Nr - 1 zero modes from the
 measurement projection, leaving at most (Nr-1)^2 active decay modes.
+
+The same rank-one structure and the unit diagonal of the averaged phases
+turn every solve against I - transfer into one (Nr+1) bordered system,
+factored once in O(Nr^3) and solved in O(Nr^2); its condition is
+watched by an exact 1-norm times a Hager-Higham estimate of the inverse
+1-norm.  The Nr^2 x Nr^2 matrices are formed only for the opt-in
+pseudo-inverse and the zero-mode census.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DegenerateProblemError, IllConditionedError
 from .intervals import IntervalDistribution
@@ -54,8 +60,8 @@ class SuperoperatorSet:
     Only these O(Nr^2) arrays are stored.  ``survive`` applies S (x) S in
     O(Nr^2); the dense Nr^2 x Nr^2 matrices ``proj_kron`` (S (x) S),
     ``transfer`` (diag(phase_avg) @ proj_kron) and ``resolvent``
-    (I - transfer) are built afresh on every access, for the dense LU,
-    SVD and eigenvalue routines that need them.
+    (I - transfer) are built afresh on every access, for the SVD and
+    eigenvalue routines and the dense test oracles that need them.
     """
 
     dim: int
@@ -105,7 +111,7 @@ class SuperoperatorSet:
 
     @property
     def resolvent(self) -> np.ndarray:
-        """I - transfer in Fortran order, so LAPACK can factor it in place."""
+        """I - transfer in Fortran order, made in place from ``transfer``."""
         j = self.transfer
         np.negative(j, out=j)
         j[np.diag_indices_from(j)] += 1.0
@@ -114,7 +120,12 @@ class SuperoperatorSet:
 
 @dataclass(frozen=True)
 class DetectionStatistics:
-    """Conditional first-detection moments plus solver diagnostics."""
+    """Conditional first-detection moments plus solver diagnostics.
+
+    ``condition`` estimates cond_1 of the resolvent; ``backend`` names the
+    solver (``"structured"`` or ``"pinv"``) and ``residual`` is the relative
+    residual ||b - J x|| / ||b|| (2-norms) of the first solve.
+    """
 
     p_det: float
     n_mean: float
@@ -125,6 +136,8 @@ class DetectionStatistics:
     t_var: float
     condition: float
     reduced_dim: int
+    backend: str
+    residual: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -190,42 +203,152 @@ def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
     return out
 
 
-class _ResolventSolver:
-    """Linear solves against the resolvent with conditioning surveillance.
+class _BorderedSolve:
+    """Solves X - phi o (S X S^T) = B for S = I - u v^T, given phi_jj = 1.
 
-    Uses a partial-pivot LU factored in place on the dense resolvent, with
-    one step of iterative refinement whose residual applies the resolvent
-    in structured form; the condition number is estimated from the factors
-    by the LAPACK reciprocal 1-norm estimator.  The optional pseudo-inverse
-    mode solves by a truncated-SVD pseudo-inverse (cutoff 1e-10 relative).
+    With r = X^T v, c = X v and s = v^T X v, S X S^T = X - u r^T - c u^T
+    + s u u^T.  The diagonal equations read r + c - s u = g, g = diag(B)/u,
+    which eliminates c; off the diagonal X_jk = Bt_jk - W_jk (u_j r_k +
+    (g_j - r_j) u_k), with W = phi/(1 - phi) and Bt = B/(1 - phi) (both 0
+    on the diagonal).  Summing those into r - c, in which diag(X) cancels,
+    leaves one (Nr+1) bordered system for (r, s), factored once here in
+    O(Nr^3); each solve is then O(Nr^2), and diag(X) follows from r.
+    ``finite`` is False when that system cannot be formed: some phi_jk = 1
+    off the diagonal, or a zero entry of u or v.
+    """
+
+    def __init__(self, phi: np.ndarray, u: np.ndarray, v: np.ndarray):
+        n = len(u)
+        self._u, self._v = u, v
+        m = np.empty((n + 1, n + 1), dtype=complex)
+        with np.errstate(all="ignore"):           # a pole 1 - phi_jk = 0 gives inf
+            inv_gap = 1.0 / (1.0 - phi)
+            np.fill_diagonal(inv_gap, 0.0)
+            self._inv_gap = inv_gap
+            self._w = phi * inv_gap
+            vu = v * u
+            self._w_vu = self._w @ vu
+            m[:n, :n] = -(u[:, None] * (self._w + self._w.T) * v)
+            m[:n, :n][np.diag_indices(n)] += 2.0 + vu @ self._w + self._w_vu
+        m[:n, n] = -u
+        m[n, :n] = v
+        m[n, n] = -1.0
+        self.finite = bool(np.isfinite(m).all() and np.all(u != 0) and np.all(v != 0))
+        if self.finite:
+            self._lu = lu_factor(m, check_finite=False)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        u, v, w = self._u, self._v, self._w
+        bt = b * self._inv_gap
+        g = b.diagonal() / u
+        rhs = np.zeros(len(u) + 1, dtype=complex)
+        rhs[:-1] = v @ bt - bt @ v + g * (1.0 + self._w_vu) - u * ((v * g) @ w)
+        r = lu_solve(self._lu, rhs, check_finite=False)[:-1]
+        x = bt - w * (np.outer(u, r) + np.outer(g - r, u))
+        x[np.diag_indices_from(x)] = (r - v @ x) / v     # x_jj is still 0 here
+        return x
+
+
+def _resolvent_norm1(sset: SuperoperatorSet) -> float:
+    """||J||_1 exactly in O(Nr^3): the column (l, m) of J = I - diag(phi)
+    (S (x) S) sums to (|S|^T |phi| |S|)_lm - |t_lm| + |1 - t_lm|, where
+    t_lm = phi_lm S_ll S_mm is its diagonal entry of the transfer matrix."""
+    n = sset.dim
+    surv = sset._surv()
+    phi = sset.phase_avg.reshape(n, n)
+    t = phi * np.outer(surv.diagonal(), surv.diagonal())
+    a = np.abs(surv)
+    cols = a.T @ np.abs(phi) @ a - np.abs(t) + np.abs(1.0 - t)
+    return float(cols.max())
+
+
+def _unit(y: np.ndarray) -> np.ndarray:
+    """y / |y| entrywise, 1 where |y| is below the smallest normal number."""
+    mag = np.abs(y)
+    tiny = mag <= np.finfo(float).tiny
+    return np.where(tiny, 1.0, y / np.where(tiny, 1.0, mag))
+
+
+def _inverse_norm1_estimate(solve, solve_adjoint, n: int, itmax: int = 5) -> float:
+    """Lower bound on ||A^-1||_1 from solves with A and A^H.
+
+    The Hager-Higham iteration with one column (Higham, ACM TOMS 14, 1988)
+    as LAPACK's zlacn2 runs it: at most ``itmax`` solve pairs plus one
+    solve with the alternating-sign vector, deterministic.  Unlike zlacn2,
+    the estimate never drops below a value already found.
+    """
+    y = solve(np.full(n, 1.0 / n))
+    est = np.abs(y).sum()
+    if n == 1:
+        return float(est)
+    j = int(np.argmax(np.abs(solve_adjoint(_unit(y)))))
+    for _ in range(itmax - 1):
+        e = np.zeros(n)
+        e[j] = 1.0
+        y = solve(e)
+        est_new = np.abs(y).sum()
+        if not est_new > est:
+            break
+        est = est_new
+        z = np.abs(solve_adjoint(_unit(y)))
+        j_last, j = j, int(np.argmax(z))
+        if z[j_last] == z[j]:
+            break
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * (1.0 + np.arange(n) / (n - 1))
+    return float(np.maximum(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
+
+
+class _ResolventSolver:
+    """Linear solves against the resolvent J with conditioning surveillance.
+
+    The default backend is structured: J x = b is X - phi o (S X S^T) = B
+    for S = I - p 1^T, solved through one (Nr+1) bordered system
+    (``_BorderedSolve``) factored in O(Nr^3), each solve then O(Nr^2), so
+    no Nr^2 x Nr^2 array is formed.  The adjoint J^H y = b is the same
+    system for S^T = I - 1 p^T: z - conj(phi) o (S^T Z S) = conj(phi) o b,
+    then y = b + S^T Z S.  ``condition`` estimates cond_1(J) as the exact
+    ||J||_1 times the Hager-Higham estimate of ||J^-1||_1; it is inf when
+    the bordered system cannot be formed or the estimate is not finite.
+    The optional pseudo-inverse backend solves by a truncated-SVD
+    pseudo-inverse of the dense J (cutoff 1e-10 relative).
     """
 
     def __init__(self, sset: SuperoperatorSet, pseudo_inverse: bool = False):
-        j = sset.resolvent
         self._sset = sset
         self._pinv = None
-        self._lu = None
         if pseudo_inverse:
-            u, s, vh = np.linalg.svd(j)
+            self.backend = "pinv"
+            u, s, vh = np.linalg.svd(sset.resolvent)
             keep = s > PINV_RTOL * s[0]
             self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
             smin = s[-1]
             self.condition = float(s[0] / smin) if smin > 0 else np.inf
             return
-        anorm = lapack.zlange("1", j)          # the 1-norm without an abs(J) temporary
-        try:
-            self._lu = lu_factor(j, overwrite_a=True)
-            rcond, info = lapack.zgecon(self._lu[0], anorm, norm="1")
-            self.condition = float(1.0 / rcond) if (info == 0 and rcond > 0) else np.inf
-        except np.linalg.LinAlgError:
-            self.condition = np.inf
+        self.backend = "structured"
+        n = sset.dim
+        p, ones = sset.p_detect, np.ones(n)
+        self._phi = sset.phase_avg.reshape(n, n)
+        self._fwd = _BorderedSolve(self._phi, p, ones)
+        self._adj = _BorderedSolve(self._phi.conj(), ones, p)
+        self.condition = np.inf
+        if self._fwd.finite and self._adj.finite:
+            with np.errstate(all="ignore"):
+                est = _inverse_norm1_estimate(self.solve, self._solve_adjoint, n * n)
+            if np.isfinite(est):
+                self.condition = _resolvent_norm1(sset) * est
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self._pinv is not None:
             return self._pinv @ b
-        x = lu_solve(self._lu, b)
-        r = b - x + self._sset.phase_avg * self._sset.survive(x)
-        return x + lu_solve(self._lu, r)
+        n = self._sset.dim
+        return self._fwd.solve(b.reshape(n, n)).ravel()
+
+    def _solve_adjoint(self, b: np.ndarray) -> np.ndarray:
+        n, p = self._sset.dim, self._sset.p_detect
+        z = self._adj.solve(self._phi.conj() * b.reshape(n, n))
+        pz = p @ z
+        szs = z - pz - (z @ p - pz @ p)[:, None]        # S^T Z S
+        return b + szs.ravel()
 
 
 def _exceptional_pairs(sset: SuperoperatorSet, cond_limit: float):
@@ -263,7 +386,9 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     """
     solver = _ResolventSolver(sset, pseudo_inverse=pseudo_inverse)
     if solver.condition > cond_limit and not pseudo_inverse:
-        raise IllConditionedError(solver.condition, _exceptional_pairs(sset, cond_limit))
+        j = int(np.argmin(sset.p_detect))
+        raise IllConditionedError(solver.condition, _exceptional_pairs(sset, cond_limit),
+                                  p_min=float(sset.p_detect[j]), p_min_index=j)
 
     src = sset.phase_avg * sset.source_vec
     f1 = solver.solve(src)                # geometric sum of the series
@@ -273,6 +398,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
             "detection probability vanishes: the initial state has no overlap "
             "with the bright subspace, so conditional moments are undefined"
         )
+    residual = np.linalg.norm(src - f1 + sset.phase_avg * sset.survive(f1))
     f2 = solver.solve(f1)                 # n-weighted sum
     f3 = solver.solve(f2)                 # enters the n^2-weighted sum
     n_mean = float(f2.sum().real) / p_det
@@ -297,6 +423,8 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
         t_var=t_sq - t_mean**2,
         condition=solver.condition,
         reduced_dim=sset.dim,
+        backend=solver.backend,
+        residual=float(residual / np.linalg.norm(src)),
     )
 
 

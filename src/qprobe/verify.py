@@ -17,8 +17,8 @@ from scipy.linalg import expm
 from .closedform import ring_nbar_exp, ring_nsq_exp, ring_tsq_exp, tls_stats
 from .intervals import ExponentialInterval, FixedInterval, GammaInterval
 from .model import QuantumModel, build_ring, build_two_level, spectral_reduce
-from .superop import (build_superops, detection_stats, fn_series,
-                      universal_identity_check, zero_mode_census)
+from .superop import (PINV_RTOL, SuperoperatorSet, build_superops, detection_stats,
+                      fn_series, universal_identity_check, zero_mode_census)
 from .trajectory import run_bernoulli, run_per_realization
 
 
@@ -39,6 +39,33 @@ def stroboscopic_fn_direct(model: QuantumModel, tau0: float, n_max: int) -> np.n
         out[n] = abs(amp) ** 2
         phi = u @ (phi - amp * model.psi_d)
     return out
+
+
+def dense_reference_stats(sset: SuperoperatorSet, pseudo_inverse: bool = False) -> dict:
+    """The moments of ``detection_stats`` by dense linear algebra.
+
+    Forms the Nr^2 x Nr^2 resolvent J and solves with ``np.linalg.solve``
+    (or a dense pseudo-inverse at the same cutoff), so it costs O(Nr^6)
+    time and O(Nr^4) memory; ``condition`` is the exact cond_1(J).  The
+    slow-path oracle for the structured solve.
+    """
+    j, k = sset.resolvent, sset.proj_kron
+    if pseudo_inverse:
+        jinv = np.linalg.pinv(j, rcond=PINV_RTOL)
+        solve = lambda b: jinv @ b                                   # noqa: E731
+    else:
+        solve = lambda b: np.linalg.solve(j, b)                      # noqa: E731
+    src = sset.source_vec
+    f1 = solve(sset.phase_avg * src)
+    f2 = solve(f1)
+    f3 = solve(f2)
+    g = solve(sset.phase_avg_t * (k @ f1 + src))
+    h = solve(sset.phase_avg_tt * (k @ f1 + src) + 2.0 * sset.phase_avg_t * (k @ g))
+    p_det = f1.sum().real
+    return {"p_det": p_det, "n_mean": f2.sum().real / p_det,
+            "n_sq": (2.0 * f3.sum() - f2.sum()).real / p_det,
+            "t_mean": g.sum().real / p_det, "t_sq": h.sum().real / p_det,
+            "condition": float(np.linalg.cond(j, 1))}
 
 
 def _stats_for(model, dist, **kwargs):
@@ -88,6 +115,22 @@ def _check_zero_modes():
         n = sd.reduced_dim
         assert census.n_zero >= 2 * n - 1, f"{model.label}: {census}"
         assert census.n_nonzero <= (n - 1) ** 2, f"{model.label}: {census}"
+
+
+def _check_structured_vs_dense():
+    for model in (build_two_level(1.0), build_ring(7, 1.0, 1, 0)):
+        sd = spectral_reduce(model)
+        for dist in (FixedInterval(0.6), ExponentialInterval(0.6), GammaInterval(10.0, 0.6)):
+            sset = build_superops(sd, dist)
+            st = detection_stats(sset, dist)
+            ref = dense_reference_stats(sset)
+            for name in ("p_det", "n_mean", "n_sq", "t_mean", "t_sq"):
+                a, b = getattr(st, name), ref[name]
+                assert abs(a - b) <= 1e-10 * abs(b), (
+                    f"{model.label} / {dist}: {name} structured={a} dense={b}")
+            cond = ref["condition"]
+            assert cond / 3 <= st.condition <= cond * (1 + 1e-8), (
+                f"{model.label} / {dist}: condition {st.condition} vs cond_1 {cond}")
 
 
 def _check_tls_closedform_match():
@@ -180,6 +223,7 @@ CHECKS = [
     ("pdet-equals-overlap-sum", "quick", _check_pdet_equals_overlap_sum),
     ("universal-time-identities", "quick", _check_universal_identities),
     ("zero-mode-census", "quick", _check_zero_modes),
+    ("structured_vs_dense", "quick", _check_structured_vs_dense),
     ("tls-closedform-vs-exact", "quick", _check_tls_closedform_match),
     ("ring-closedform-spot", "quick", _check_ring_closedform_spot),
     ("stroboscopic-oracle-quick", "quick", _check_stroboscopic_quick),

@@ -91,6 +91,10 @@ def test_cli_stats_l24(capsys):
     assert doc["stats"]["p_det"] == pytest.approx(1.0, abs=1e-9)
     assert doc["config"]["dist"] == "exp"
     assert doc["zero_modes"]["n_zero"] >= 25
+    assert set(doc["stats"]) == {"p_det", "n_mean", "n_sq", "t_mean", "t_sq", "n_var",
+                                 "t_var", "condition", "reduced_dim"}
+    assert doc["diagnostics"]["backend"] == "structured"
+    assert 0 <= doc["diagnostics"]["residual"] < 1e-13
 
 
 def test_cli_stats_return_quantization(capsys):
@@ -109,6 +113,9 @@ def test_cli_stats_exceptional_interval_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "ill-conditioned" in captured.err
+    rc = cli.main(["stats", "--model", str(cfg), "--pseudo-inverse"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["backend"] == "pinv"
 
 
 def test_cli_flag_overrides_file(tmp_path, capsys):
@@ -290,6 +297,7 @@ def test_cli_sweep_non_numeric_key_exits_two(tmp_path, capsys):
      "--mode", "per_realization", "--ncut", "1"],
     ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "-1"],
     ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "0"],
+    ["stats", *RING7, "--dist", "exp", "--mean", "0.6", "--degeneracy-tol", "inf"],
     ["stats", *RING7, "--dist", "exp", "--mean", "inf"],
     ["stats", *RING7, "--dist", "fixed", "--tau", "inf"],
     ["stats", *RING7, "--dist", "gamma", "--alpha", "inf", "--mean", "0.6"],
@@ -361,13 +369,21 @@ def test_cli_mc_dark_initial_state_exits_two(tmp_path, capsys):
     ("x_d=2\n", "error: site index must lie in [0, 2), got 2"),
     ("n=0\nhamiltonian=\n", "config error: dense model needs n >= 1, got 0"),
     ("n=-1\nhamiltonian=0,0\n", "config error: dense model needs n >= 1, got -1"),
-], ids=["x_in=5", "x_in=-1", "x_d=2", "n=0", "n=-1"])
+    ("hamiltonian=inf,0,-1,0,-1,0,0,0\n", "error: hamiltonian has a non-finite entry"),
+], ids=["x_in=5", "x_in=-1", "x_d=2", "n=0", "n=-1", "H=inf"])
 def test_cli_dense_bad_size_or_site_exits_two(tmp_path, capsys, keys, expect):
     cfg = tmp_path / "dense.cfg"
     cfg.write_text(TLS_DENSE + keys)       # later keys win
     rc = cli.main(["stats", "--model", str(cfg), "--dist", "exp", "--mean", "0.6"])
     assert rc == 2
     assert capsys.readouterr().err == expect + "\n"
+
+
+def test_cli_ring_infinite_hopping_exits_two(capsys):
+    rc = cli.main(["stats", "--L", "5", "--gamma", "inf", "--xin", "1", "--xd", "0",
+                   "--dist", "exp", "--mean", "0.6"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: hamiltonian has a non-finite entry\n"
 
 
 def test_cli_sweep_non_finite_grid_fails_before_compute(capsys, no_compute):

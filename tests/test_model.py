@@ -57,6 +57,23 @@ def test_model_validation():
         QuantumModel(h, 2.0 * basis_state(2, 0), basis_state(2, 1))
 
 
+@pytest.mark.parametrize("where", ["hamiltonian", "psi_in", "psi_d"])
+def test_build_dense_rejects_non_finite_entries(where):
+    # inf on H's diagonal and nan in a state both passed the Hermiticity
+    # and norm tests, which compare against nan
+    parts = {"hamiltonian": np.zeros((2, 2), dtype=complex),
+             "psi_in": basis_state(2, 0), "psi_d": basis_state(2, 1)}
+    parts[where].flat[0] = np.inf if where == "hamiltonian" else np.nan
+    with pytest.raises(InvalidModelError, match=f"{where} has a non-finite entry"):
+        build_dense(parts["hamiltonian"], parts["psi_in"], parts["psi_d"])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+def test_spectral_reduce_rejects_bad_degeneracy_tol(tol):
+    with pytest.raises(ValueError, match="degeneracy_tol"):
+        spectral_reduce(build_ring(5, 1.0, 1, 0), degeneracy_tol=tol)
+
+
 def test_model_arrays_frozen():
     model = build_ring(4, 1.0, 0, 1)
     with pytest.raises(ValueError):

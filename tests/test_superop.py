@@ -15,9 +15,9 @@ from qprobe.errors import DegenerateProblemError, IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import (build_dense, build_ring, build_two_level,
                           spectral_full, spectral_reduce)
-from qprobe.superop import (PINV_RTOL, build_superops, detection_stats, fn_series,
+from qprobe.superop import (build_superops, detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
-from qprobe.verify import stroboscopic_fn_direct
+from qprobe.verify import dense_reference_stats, stroboscopic_fn_direct
 
 
 def tls_superops(dist, gamma=1.0, x_in=0):
@@ -330,26 +330,6 @@ CROSS_DISTS = {"fixed": FixedInterval(0.6), "exp": ExponentialInterval(0.6),
                "gamma": GammaInterval(10.0, 0.6)}
 
 
-def dense_reference_stats(sset, pseudo_inverse):
-    """The moments of detection_stats from dense matrices and a dense solve."""
-    j, k = sset.resolvent, sset.proj_kron
-    if pseudo_inverse:
-        jinv = np.linalg.pinv(j, rcond=PINV_RTOL)
-        solve = lambda b: jinv @ b                                   # noqa: E731
-    else:
-        solve = lambda b: np.linalg.solve(j, b)                      # noqa: E731
-    src = sset.source_vec
-    f1 = solve(sset.phase_avg * src)
-    f2 = solve(f1)
-    f3 = solve(f2)
-    g = solve(sset.phase_avg_t * (k @ f1 + src))
-    h = solve(sset.phase_avg_tt * (k @ f1 + src) + 2.0 * sset.phase_avg_t * (k @ g))
-    p_det = f1.sum().real
-    return {"p_det": p_det, "n_mean": f2.sum().real / p_det,
-            "n_sq": (2.0 * f3.sum() - f2.sum()).real / p_det,
-            "t_mean": g.sum().real / p_det, "t_sq": h.sum().real / p_det}
-
-
 @pytest.mark.parametrize("dist_name", list(CROSS_DISTS))
 @pytest.mark.parametrize("model_name", list(CROSS_MODELS))
 def test_structured_survival_matches_dense_superoperators(model_name, dist_name):
@@ -380,16 +360,23 @@ def test_structured_survival_matches_dense_superoperators(model_name, dist_name)
     # moments against a dense solve; the full space needs the pseudo-inverse
     pinv = model_name == "full_ring6"
     st = detection_stats(sset, dist, pseudo_inverse=pinv)
-    for name, expect in dense_reference_stats(sset, pinv).items():
+    ref = dense_reference_stats(sset, pinv)
+    true_cond = ref.pop("condition")
+    for name, expect in ref.items():
         assert getattr(st, name) == pytest.approx(expect, rel=1e-10), name
-    # the in-place factorization leaves the set untouched
+    assert st.backend == ("pinv" if pinv else "structured")
+    if not pinv:
+        # exact ||J||_1 times a lower bound on ||J^-1||_1, no refinement step
+        assert true_cond / 3 <= st.condition <= true_cond * (1 + 1e-8)
+        assert st.residual <= 1e-13
+    # a second call sees the same, untouched set
     assert detection_stats(sset, dist, pseudo_inverse=pinv) == st
 
 
 def test_dense_resolvent_is_the_only_nr4_allocation():
-    # building J and factoring it in place allocate one complex Nr^4 array;
-    # check_finite's boolean mask adds 1/16 of that, numpy's ufunc buffers
-    # a fixed ~0.25 MB (Nr = 21 here, J is 3.1 MB)
+    # building the transfer matrix or J allocates one complex Nr^4 array,
+    # plus numpy's fixed ~0.25 MB of ufunc buffers (Nr = 21 here, J is
+    # 3.1 MB); detection_stats stays far below, see the test that follows
     sset = build_superops(spectral_reduce(build_ring(40, 1.0, 20, 0)),
                           ExponentialInterval(0.6))
     nr4_bytes = 16 * sset.dim**4
@@ -400,3 +387,66 @@ def test_dense_resolvent_is_the_only_nr4_allocation():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 1.2 * nr4_bytes
+
+
+def test_detection_stats_holds_no_nr4_array():
+    # the structured solve keeps O(Nr^2) arrays; measured peak ~19 x 16 Nr^2
+    # bytes at Nr = 41, where one dense Nr^4 array would be 45 MB
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_reduce(build_ring(80, 1.0, 40, 0)), dist)
+    assert sset.dim == 41
+    detection_stats(sset, dist)                   # warm up lazy imports
+    tracemalloc.start()
+    detection_stats(sset, dist)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 64 * 16 * sset.dim**2
+
+
+def p_min_ladder_model(p_min):
+    # dense 5-level model whose smallest detection weight is p_min
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    h = (q * np.array([-1.1, -0.3, 0.4, 0.9, 1.6])) @ q.conj().T
+    p = np.array([p_min, 0.1, 0.2, 0.3, 0.4])
+    p[1:] *= 1.0 - p_min
+    psi_in = rng.normal(size=5) + 1j * rng.normal(size=5)
+    return spectral_reduce(build_dense(0.5 * (h + h.conj().T), psi_in / np.linalg.norm(psi_in),
+                                       q @ np.sqrt(p)))
+
+
+@pytest.mark.parametrize("dist_name", list(CROSS_DISTS))
+def test_small_detection_weight_ladder(dist_name):
+    # n_mean grows like 1/p_min, and so does cond_1(J): 1e3 at p_min = 6e-3,
+    # 1e11 at 1e-10.  Structured and dense LU agree to within 0.12 cond eps
+    # on this ladder (pinned at 2e-16 cond, the dense cond_1 itself carries
+    # an error of that size); at p_min = 3e-12 the gate fires (cond 2.7e12
+    # to 4.0e12) with no pair near 1, and names p_min instead.
+    dist = CROSS_DISTS[dist_name]
+    for p_min in (6e-3, 1e-4, 1e-6, 1e-8, 1e-10):
+        sset = build_superops(p_min_ladder_model(p_min), dist)
+        st = detection_stats(sset, dist)
+        ref = dense_reference_stats(sset)
+        true_cond = ref.pop("condition")
+        tol = 2e-16 * st.condition
+        assert true_cond / 3 <= st.condition <= true_cond * (1 + 1e-8 + tol)
+        for name, expect in ref.items():
+            assert getattr(st, name) == pytest.approx(expect, rel=tol), name
+    sset = build_superops(p_min_ladder_model(3e-12), dist)
+    with pytest.raises(IllConditionedError) as info:
+        detection_stats(sset, dist)
+    err = info.value
+    assert err.pairs == [] and err.p_min_index == 0
+    assert err.p_min == pytest.approx(3e-12, rel=1e-6)
+    assert "smallest detection weight p[0] = 3.000e-12" in str(err)
+
+
+def test_singular_full_space_raises_without_pseudo_inverse():
+    # degenerate energies give phi_jk = 1 exactly and dark states p_j = 0:
+    # the bordered system cannot be formed, so the condition is inf
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_full(build_ring(6, 1.0, 1, 0)), dist)
+    with pytest.raises(IllConditionedError) as info:
+        detection_stats(sset, dist)
+    assert info.value.condition == np.inf
+    assert info.value.p_min == 0.0 and info.value.pairs
