@@ -12,8 +12,9 @@ intervals, the two-level system) serve as independent cross-checks.
 from .closedform import (RingCase, RingCaseTag, TwoLevelStats,
                          classify_ring_case, ring_nbar_exp, ring_nsq_exp,
                          ring_tsq_exp, tls_stats)
-from .errors import (ConfigError, DegenerateProblemError, DivergenceError,
-                     IllConditionedError, InvalidModelError, QprobeError)
+from .errors import (ConfigError, ConvergenceError, DegenerateProblemError,
+                     DenseSizeError, DivergenceError, IllConditionedError,
+                     InvalidModelError, QprobeError)
 from .intervals import (ExponentialInterval, FixedInterval, GammaInterval,
                         IntervalDistribution)
 from .model import (QuantumModel, SpectralData, basis_state, build_dense,
@@ -28,7 +29,8 @@ from .verify import run_verify, stroboscopic_fn_direct
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DegenerateProblemError", "DetectionStatistics",
+    "ConfigError", "ConvergenceError", "DegenerateProblemError",
+    "DenseSizeError", "DetectionStatistics",
     "DivergenceError", "ExponentialInterval", "FixedInterval",
     "GammaInterval", "IdentityReport", "IllConditionedError",
     "IntervalDistribution", "InvalidModelError", "QuantumModel",

@@ -7,8 +7,10 @@ cross-check suite).  Models and distributions come from a flat key=value
 config file (``--model``) and/or flags; flags override the file.
 
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
-closed-form divergence), 2 on configuration errors (out-of-range flag
-values and an unwritable --out included) and on degenerate problems.
+closed-form divergence, an eigenvalue iteration that fails its check),
+2 on configuration errors (out-of-range flag values and an unwritable
+--out included), on degenerate problems and on dense matrices over the
+memory budget.
 Every input is checked, and --out created, before the computation.
 The environment variable QPROBE_THREADS caps sweep parallelism.
 """
@@ -26,7 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, DivergenceError, IllConditionedError, QprobeError
+from .errors import (ConfigError, ConvergenceError, DivergenceError, IllConditionedError,
+                     QprobeError)
 from .model import DEFAULT_DEGENERACY_TOL, spectral_reduce
 from .superop import build_superops, detection_stats, fn_series, zero_mode_census
 from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
@@ -131,6 +134,7 @@ def cmd_stats(args) -> int:
             "slowest_decay_abs": abs(census.slowest_decay),
             "slowest_decay_re": census.slowest_decay.real,
             "slowest_decay_im": census.slowest_decay.imag,
+            "structural": census.structural,
         },
         "diagnostics": diagnostics,
     }
@@ -301,7 +305,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedError, DivergenceError) as exc:
+    except (IllConditionedError, DivergenceError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except QprobeError as exc:

@@ -23,6 +23,15 @@ class ConfigError(QprobeError):
     """A configuration file or flag set cannot be interpreted."""
 
 
+class ConvergenceError(QprobeError):
+    """An iterative eigenvalue computation did not converge, or its result
+    failed the consistency check that guards it."""
+
+
+class DenseSizeError(QprobeError):
+    """A dense Nr^2 x Nr^2 matrix would exceed the memory budget."""
+
+
 class IllConditionedError(QprobeError):
     """The geometric-series solve is numerically singular.
 

@@ -26,8 +26,11 @@ The same rank-one structure and the unit diagonal of the averaged phases
 turn every solve against I - transfer into one (Nr+1) bordered system,
 factored once in O(Nr^3) and solved in O(Nr^2); its condition is
 watched by an exact 1-norm times a Hager-Higham estimate of the inverse
-1-norm.  The Nr^2 x Nr^2 matrices are formed only for the opt-in
-pseudo-inverse and the zero-mode census.
+1-norm.  The same solve drives the zero-mode census: the slowest decay
+rate is the Perron root of the transfer map, its eigenvalue nearest 1,
+found by shift-invert Arnoldi at 1.  The Nr^2 x Nr^2 matrices are formed
+only for the opt-in pseudo-inverse, the census of small sets (Nr <= 12)
+and the dense test oracles, and never above a 1 GiB budget.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import DegenerateProblemError, IllConditionedError
+from .errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
+                     IllConditionedError)
 from .intervals import IntervalDistribution
 from .model import PDET_FLOOR, SpectralData
 
@@ -45,6 +49,8 @@ DEFAULT_COND_LIMIT = 1e12
 DEFAULT_ZERO_TOL = 1e-8
 PINV_RTOL = 1e-10
 EXCEPTIONAL_COND_SCALE = 1e4
+DENSE_MAX_BYTES = 1 << 30          # one complex Nr^4 array: Nr <= 90
+DENSE_CENSUS_MAX_DIM = 12          # dense eigvals up to a 144^2 transfer matrix
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,8 @@ class SuperoperatorSet:
     O(Nr^2); the dense Nr^2 x Nr^2 matrices ``proj_kron`` (S (x) S),
     ``transfer`` (diag(phase_avg) @ proj_kron) and ``resolvent``
     (I - transfer) are built afresh on every access, for the SVD and
-    eigenvalue routines and the dense test oracles that need them.
+    eigenvalue routines and the dense test oracles that need them, and
+    refused with DenseSizeError above DENSE_MAX_BYTES.
     """
 
     dim: int
@@ -95,8 +102,18 @@ class SuperoperatorSet:
     def _surv(self) -> np.ndarray:
         return np.eye(self.dim) - np.outer(self.p_detect, np.ones(self.dim))
 
+    def _check_dense_budget(self) -> None:
+        """Raise DenseSizeError when one complex Nr^2 x Nr^2 array would
+        take more than DENSE_MAX_BYTES; called before allocating one."""
+        nbytes = 16 * self.dim**4
+        if nbytes > DENSE_MAX_BYTES:
+            raise DenseSizeError(
+                f"a dense Nr^2 x Nr^2 matrix at Nr={self.dim} needs {nbytes} bytes, "
+                f"over the {DENSE_MAX_BYTES}-byte budget")
+
     @property
     def proj_kron(self) -> np.ndarray:
+        self._check_dense_budget()
         surv = self._surv()
         return np.kron(surv, surv)
 
@@ -104,6 +121,7 @@ class SuperoperatorSet:
     def transfer(self) -> np.ndarray:
         """diag(phase_avg) @ proj_kron in Fortran order: the transpose is
         built complex and scaled in place, so no other Nr^4 array is made."""
+        self._check_dense_budget()
         surv_t = np.ascontiguousarray(self._surv().T, dtype=complex)
         t = np.kron(surv_t, surv_t)
         t *= self.phase_avg
@@ -145,11 +163,17 @@ class DetectionStatistics:
 
 @dataclass(frozen=True)
 class ZeroModeCensus:
-    """Eigenvalue census of the transfer matrix."""
+    """Eigenvalue census of the transfer matrix.
+
+    ``slowest_decay`` is the Perron root (real, im = 0); ``structural``
+    is True when ``n_zero`` is the structural count 2 Nr - 1 rather than
+    a count of computed eigenvalues.
+    """
 
     n_zero: int
     n_nonzero: int
     slowest_decay: complex
+    structural: bool
 
 
 @dataclass(frozen=True)
@@ -430,21 +454,53 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
 
 def zero_mode_census(sset: SuperoperatorSet,
                      tol: float = DEFAULT_ZERO_TOL) -> ZeroModeCensus:
-    """Count zero modes of the transfer matrix and find its slowest decay.
+    """Count zero modes of the transfer matrix T and find its slowest decay.
 
-    The largest-magnitude eigenvalue controls the asymptotic decay rate
-    of the averaged detection series.
+    The spectral radius rho of T sets the asymptotic decay rate of the
+    averaged detection series.  T is similar, through diag(sqrt p) (x)
+    diag(sqrt p), to a completely positive map, so rho is itself an
+    eigenvalue (Evans and Hoegh-Krohn, J. London Math. Soc. 17, 1978);
+    since |1 - lam| >= 1 - |lam| >= 1 - rho, it is also the eigenvalue
+    nearest 1.  ``slowest_decay`` is rho, real, on both branches.
+
+    Up to ``DENSE_CENSUS_MAX_DIM``, or when the structured solve cannot be
+    formed, dense ``eigvals`` of T counts the eigenvalues with |lam| <
+    ``tol`` as zero modes.  Above it, shift-invert Arnoldi at sigma = 1
+    finds rho with OPinv = (T - I)^-1 = -J^-1, the O(Nr^2) structured
+    solve, and ``n_zero`` is the structural 2 Nr - 1: the nullity of T,
+    since rank(S (x) S) = (Nr - 1)^2 and no interval law gives phi = 0.
+    ``tol`` does not apply on that branch.  Raises ConvergenceError when
+    Arnoldi does not converge or its Ritz value nearest 1 is not a real
+    eigenvalue of largest modulus among those returned.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lam = np.linalg.eigvals(sset.transfer)
-    mags = np.abs(lam)
-    n_zero = int(np.sum(mags < tol))
-    return ZeroModeCensus(
-        n_zero=n_zero,
-        n_nonzero=len(lam) - n_zero,
-        slowest_decay=complex(lam[np.argmax(mags)]),
-    )
+    n = sset.dim
+    solver = _ResolventSolver(sset) if n > DENSE_CENSUS_MAX_DIM else None
+    if solver is None or not np.isfinite(solver.condition):
+        mags = np.abs(np.linalg.eigvals(sset.transfer))
+        n_zero = int(np.sum(mags < tol))
+        return ZeroModeCensus(n_zero=n_zero, n_nonzero=mags.size - n_zero,
+                              slowest_decay=complex(mags.max()), structural=False)
+
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    m = n * n
+    transfer = LinearOperator((m, m), dtype=complex,
+                              matvec=lambda x: sset.phase_avg * sset.survive(x))
+    shift_inverse = LinearOperator((m, m), dtype=complex, matvec=lambda x: -solver.solve(x))
+    try:
+        ritz = eigs(transfer, k=3, sigma=1.0, OPinv=shift_inverse,
+                    v0=np.ones(m, dtype=complex), return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
+    rho = ritz[np.argmin(np.abs(ritz - 1.0))]
+    if not (abs(rho.imag) <= 1e-8 * abs(rho) and np.abs(ritz).max() <= abs(rho) * (1 + 1e-10)):
+        raise ConvergenceError(
+            f"shift-invert Arnoldi at Nr={n} gave Ritz values {ritz.tolist()}: the one "
+            f"nearest 1 is not a real eigenvalue of largest modulus")
+    n_zero = 2 * n - 1
+    return ZeroModeCensus(n_zero=n_zero, n_nonzero=m - n_zero,
+                          slowest_decay=complex(rho.real), structural=True)
 
 
 def universal_identity_check(sset: SuperoperatorSet,

@@ -115,6 +115,17 @@ def _check_zero_modes():
         n = sd.reduced_dim
         assert census.n_zero >= 2 * n - 1, f"{model.label}: {census}"
         assert census.n_nonzero <= (n - 1) ** 2, f"{model.label}: {census}"
+    # the shift-invert Perron root and structural count against dense eigvals
+    sd = spectral_reduce(build_ring(40, 1.0, 20, 0))
+    for dist in (FixedInterval(0.6), ExponentialInterval(0.6)):
+        sset = build_superops(sd, dist)
+        census = zero_mode_census(sset)
+        mags = np.abs(np.linalg.eigvals(sset.transfer))
+        rho = mags.max()
+        assert census.structural and abs(census.slowest_decay - rho) <= 1e-12, (
+            f"ring L=40 / {dist}: {census} vs dense max|lambda| = {rho}")
+        assert census.n_zero == int(np.sum(mags < 1e-8)), (
+            f"ring L=40 / {dist}: {census} vs dense count {int(np.sum(mags < 1e-8))}")
 
 
 def _check_structured_vs_dense():

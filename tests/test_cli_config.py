@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,8 @@ def test_cli_stats_l24(capsys):
     assert doc["stats"]["p_det"] == pytest.approx(1.0, abs=1e-9)
     assert doc["config"]["dist"] == "exp"
     assert doc["zero_modes"]["n_zero"] >= 25
+    assert doc["zero_modes"]["structural"] is True          # Nr = 13 > 12
+    assert doc["zero_modes"]["slowest_decay_im"] == 0.0
     assert set(doc["stats"]) == {"p_det", "n_mean", "n_sq", "t_mean", "t_sq", "n_var",
                                  "t_var", "condition", "reduced_dim"}
     assert doc["diagnostics"]["backend"] == "structured"
@@ -116,6 +119,31 @@ def test_cli_stats_exceptional_interval_exits_one(tmp_path, capsys):
     rc = cli.main(["stats", "--model", str(cfg), "--pseudo-inverse"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["backend"] == "pinv"
+
+
+def test_cli_stats_census_failure_exits_one(monkeypatch, capsys):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.array([]), None)
+
+    monkeypatch.setattr(sla, "eigs", no_convergence)
+    rc = cli.main(["stats", "--L", "24", "--gamma", "1", "--xin", "12",
+                   "--xd", "0", "--dist", "exp", "--mean", "0.6"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("numerical failure: shift-invert Arnoldi did not converge")
+
+
+def test_cli_stats_pseudo_inverse_over_dense_budget_exits_two(capsys):
+    # Nr = 201: the dense J would take 26 GB; refused before allocating
+    start = time.perf_counter()
+    rc = cli.main(["stats", "--L", "400", "--gamma", "1", "--xin", "7", "--xd", "0",
+                   "--dist", "exp", "--mean", "0.6", "--pseudo-inverse"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2 and elapsed < 1.0
+    assert err.startswith("error: ") and "Nr=201" in err and err.count("\n") == 1
 
 
 def test_cli_flag_overrides_file(tmp_path, capsys):
@@ -196,6 +224,21 @@ def test_cli_sweep_alpha_axis(capsys):
     assert len(rows) == 4
     lam = [float(r[2]) for r in rows[1:]]
     assert all(0 < x < 1 for x in lam)
+
+
+def test_cli_sweep_lambda_max_matches_dense_perron_root(capsys):
+    # Nr = 21 takes the shift-invert census; dense eigvals is the oracle
+    rc = cli.main(["sweep", "--L", "40", "--gamma", "1", "--xin", "20", "--xd", "0",
+                   "--dist", "exp", "--axis", "mean_tau", "--grid", "0.5,0.6",
+                   "--outputs", "lambda_max"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["mean_tau", "lambda_max", "status"]
+    sd = spectral_reduce(build_ring(40, 1.0, 20, 0))
+    for row in rows[1:]:
+        sset = build_superops(sd, ExponentialInterval(float(row[0])))
+        rho = np.abs(np.linalg.eigvals(sset.transfer)).max()
+        assert abs(float(row[1]) - rho) <= 1e-12 and row[2] == "ok"
 
 
 def test_cli_sweep_grid_validation(capsys):

@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qprobe.errors import DegenerateProblemError, IllConditionedError
+from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
+                           IllConditionedError)
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import (build_dense, build_ring, build_two_level,
                           spectral_full, spectral_reduce)
@@ -176,6 +177,109 @@ def test_zero_mode_census_bounds():
         n = sd.reduced_dim
         assert census.n_zero >= 2 * n - 1
         assert census.n_nonzero <= (n - 1) ** 2
+
+
+def degenerate_model_nr14():
+    # 16 random levels, one of them three-fold degenerate: Nr = 14
+    rng = np.random.default_rng(21)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    e = rng.uniform(-2.0, 2.0, 14)
+    h = (q * np.r_[e, e[3], e[3]]) @ q.conj().T
+    psi_in, psi_d = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    return spectral_reduce(build_dense(0.5 * (h + h.conj().T), psi_in / np.linalg.norm(psi_in),
+                                       psi_d / np.linalg.norm(psi_d)))
+
+
+PERRON_CASES = [(f"ring{L}_{name}", lambda L=L: spectral_reduce(build_ring(L, 1.0, L // 2, 0)),
+                 dist)
+                for L in (24, 40)
+                for name, dist in (("fixed0.6", FixedInterval(0.6)),
+                                   ("fixed0.7", FixedInterval(0.7)),
+                                   ("exp", ExponentialInterval(0.6)),
+                                   ("gamma", GammaInterval(10.0, 0.6)))]
+PERRON_CASES += [(f"dense_nr14_{name}", degenerate_model_nr14, dist)
+                 for name, dist in (("exp", ExponentialInterval(0.6)),
+                                    ("gamma", GammaInterval(10.0, 0.6)))]
+PERRON_CASES += [("ring8_fixed0.6", lambda: spectral_reduce(build_ring(8, 1.0, 4, 0)),
+                  FixedInterval(0.6))]
+
+
+@pytest.mark.parametrize("make_sd, dist", [c[1:] for c in PERRON_CASES],
+                         ids=[c[0] for c in PERRON_CASES])
+def test_zero_mode_census_perron_root_matches_dense(make_sd, dist):
+    # At fixed 0.6 on L = 24 and 40, LAPACK lists -0.72+0.69i and
+    # -0.73-0.68i first among the eigenvalues of largest modulus; the
+    # census reports the Perron root rho on the real axis instead.
+    sd = make_sd()
+    sset = build_superops(sd, dist)
+    census = zero_mode_census(sset)
+    mags = np.abs(np.linalg.eigvals(sset.transfer))
+    assert census.structural == (sd.reduced_dim > 12)
+    assert abs(census.slowest_decay - mags.max()) <= 1e-12
+    assert census.slowest_decay.imag == 0.0
+    n_zero = int(np.sum(mags < 1e-8))
+    assert (census.n_zero, census.n_nonzero) == (n_zero, mags.size - n_zero)
+
+
+def test_zero_mode_census_holds_no_nr4_array():
+    # the Arnoldi basis and the structured solve are O(Nr^2); measured
+    # peak ~38 x 16 Nr^2 bytes at Nr = 41, where the dense transfer
+    # matrix alone would be 45 MB
+    sset = build_superops(spectral_reduce(build_ring(80, 1.0, 40, 0)),
+                          GammaInterval(10.0, 0.6))
+    assert sset.dim == 41
+    zero_mode_census(sset)                        # warm up lazy imports
+    tracemalloc.start()
+    census = zero_mode_census(sset)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert census.structural
+    assert peak < 64 * 16 * sset.dim**2
+
+
+def test_zero_mode_census_falls_back_to_dense_when_solve_is_singular():
+    # the full 26-site space keeps degenerate pairs (phi_jk = 1) and dark
+    # states (p_j = 0), so no structured solve exists; dark states are
+    # never detected, so the Perron root is 1
+    sset = build_superops(spectral_full(build_ring(26, 1.0, 1, 0)), ExponentialInterval(0.6))
+    assert sset.dim == 26
+    census = zero_mode_census(sset)
+    assert not census.structural
+    assert census.slowest_decay == pytest.approx(1.0, abs=1e-12)
+    assert (census.n_zero, census.n_nonzero) == (51, 26**2 - 51)
+
+
+@pytest.mark.parametrize("ritz", [None, [0.99 + 1e-6j, 0.5, 0.2],
+                                  [0.97 + 0.1j, 0.5, 0.2], [0.99, -1.2, 0.3]])
+def test_zero_mode_census_refuses_unchecked_arnoldi(monkeypatch, ritz):
+    # no convergence, and Ritz values whose nearest-to-1 member is not
+    # real or not of largest modulus, raise instead of returning a number
+    import scipy.sparse.linalg as sla
+
+    def fake_eigs(*args, **kwargs):
+        if ritz is None:
+            raise sla.ArpackNoConvergence("no convergence", np.array([]), None)
+        return np.array(ritz, dtype=complex)
+
+    monkeypatch.setattr(sla, "eigs", fake_eigs)
+    sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), ExponentialInterval(0.6))
+    with pytest.raises(ConvergenceError):
+        zero_mode_census(sset)
+
+
+def test_transfer_refuses_arrays_over_the_dense_budget():
+    # 16 Nr^4 bytes: 1.05e9 at Nr = 90 (allowed), 1.10e9 at Nr = 91
+    sset = build_superops(spectral_reduce(build_ring(180, 1.0, 90, 0)),
+                          ExponentialInterval(0.6))
+    assert sset.dim == 91
+    for make in (lambda: sset.transfer, lambda: sset.resolvent, lambda: sset.proj_kron,
+                 lambda: detection_stats(sset, ExponentialInterval(0.6), pseudo_inverse=True)):
+        tracemalloc.start()
+        with pytest.raises(DenseSizeError, match="Nr=91 needs 1097199376 bytes"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 91**2 * 64
 
 
 def test_tls_return_single_nonzero_mode():
