@@ -483,6 +483,7 @@ def zero_mode_census(sset: SuperoperatorSet,
         return ZeroModeCensus(n_zero=n_zero, n_nonzero=mags.size - n_zero,
                               slowest_decay=complex(mags.max()), structural=False)
 
+    # imported here: scipy.sparse.linalg adds ~40 ms to every command's start
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
     m = n * n
     transfer = LinearOperator((m, m), dtype=complex,
@@ -494,6 +495,7 @@ def zero_mode_census(sset: SuperoperatorSet,
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
     rho = ritz[np.argmin(np.abs(ritz - 1.0))]
+    # a peripheral eigenvalue rho e^(i theta) may tie |rho| up to roundoff
     if not (abs(rho.imag) <= 1e-8 * abs(rho) and np.abs(ritz).max() <= abs(rho) * (1 + 1e-10)):
         raise ConvergenceError(
             f"shift-invert Arnoldi at Nr={n} gave Ritz values {ritz.tolist()}: the one "

@@ -124,8 +124,9 @@ def _check_zero_modes():
         rho = mags.max()
         assert census.structural and abs(census.slowest_decay - rho) <= 1e-12, (
             f"ring L=40 / {dist}: {census} vs dense max|lambda| = {rho}")
-        assert census.n_zero == int(np.sum(mags < 1e-8)), (
-            f"ring L=40 / {dist}: {census} vs dense count {int(np.sum(mags < 1e-8))}")
+        n_zero = int(np.sum(mags < 1e-8))
+        assert census.n_zero == n_zero, (
+            f"ring L=40 / {dist}: {census} vs dense count {n_zero}")
 
 
 def _check_structured_vs_dense():
