@@ -68,6 +68,13 @@ def _check_scale(what: str, value: float) -> None:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
+def _second_moment(mean: float, shape: float = np.inf) -> float:
+    """<tau**2> = mean**2 (1 + 1/shape) (shape = inf for a fixed interval),
+    inf rather than OverflowError when it exceeds a double."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(mean) ** 2 * (1.0 + 1.0 / np.float64(shape)))
+
+
 def _check_power(power: int) -> None:
     if power not in (1, 2):
         raise ValueError(f"weighted_charfn supports power 1 or 2, got {power!r}")
@@ -81,6 +88,7 @@ class FixedInterval(IntervalDistribution):
 
     def __post_init__(self):
         _check_scale("fixed interval", self.tau0)
+        _check_scale("<tau^2> of the fixed interval", _second_moment(self.tau0))
 
     @property
     def mean(self) -> float:
@@ -120,6 +128,7 @@ class GammaInterval(IntervalDistribution):
     def __post_init__(self):
         _check_scale("gamma shape", self.alpha)
         _check_scale("mean interval", self.mu)
+        _check_scale("<tau^2> of the gamma interval", _second_moment(self.mu, self.alpha))
 
     @property
     def mean(self) -> float:

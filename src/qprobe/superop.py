@@ -24,18 +24,23 @@ measurement projection, leaving at most (Nr-1)^2 active decay modes.
 
 The same rank-one structure and the unit diagonal of the averaged phases
 turn every solve against I - transfer into one (Nr+1) bordered system,
-factored once in O(Nr^3) and solved in O(Nr^2); its condition is
-watched by an exact 1-norm times a Hager-Higham estimate of the inverse
-1-norm.  The same solve drives the zero-mode census: the slowest decay
-rate is the Perron root of the transfer map, its eigenvalue nearest 1,
-found by shift-invert Arnoldi at 1.  The Nr^2 x Nr^2 matrices are formed
-only for the opt-in pseudo-inverse, the census of small sets (Nr <= 12)
-and the dense test oracles, and never above a 1 GiB budget.
+factored in O(Nr^3) and solved in O(Nr^2).  A superoperator set factors
+it at most once: the moments, the adjoint solves (by the similarity
+S^T = diag(p)^-1 S diag(p), with no second factor), the condition gate
+(an exact 1-norm times a Hager-Higham estimate of the inverse 1-norm)
+and the zero-mode census all share that one solver.  The census finds
+the slowest decay rate, the Perron root of the transfer map and its
+eigenvalue nearest 1, by shift-invert Arnoldi at 1.  The Nr^2 x Nr^2
+matrices are formed only for the opt-in pseudo-inverse, the census of
+small sets (Nr <= 12) and the dense test oracles, and never above a
+1 GiB budget.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -63,12 +68,13 @@ class SuperoperatorSet:
     post-measurement survival map S = I - p 1^T; ``source_vec`` the
     rank-one source conj(amp_j) * amp_k feeding every trace.
 
-    Only these O(Nr^2) arrays are stored.  ``survive`` applies S (x) S in
-    O(Nr^2); the dense Nr^2 x Nr^2 matrices ``proj_kron`` (S (x) S),
-    ``transfer`` (diag(phase_avg) @ proj_kron) and ``resolvent``
-    (I - transfer) are built afresh on every access, for the SVD and
-    eigenvalue routines and the dense test oracles that need them, and
-    refused with DenseSizeError above DENSE_MAX_BYTES.
+    Only these O(Nr^2) arrays are stored, plus the structured resolvent
+    solver, factored on first use and shared by every later solve on the
+    set.  ``survive`` applies S (x) S in O(Nr^2); the dense Nr^2 x Nr^2
+    matrices ``proj_kron`` (S (x) S), ``transfer`` (diag(phase_avg) @
+    proj_kron) and ``resolvent`` (I - transfer) are built afresh on every
+    access, for the SVD and eigenvalue routines and the dense test oracles
+    that need them, and refused with DenseSizeError above DENSE_MAX_BYTES.
     """
 
     dim: int
@@ -98,6 +104,10 @@ class SuperoperatorSet:
         r = x.sum(axis=0)
         c = x.sum(axis=1)
         return (x - np.outer(p, r) - np.outer(c - r.sum() * p, p)).ravel()
+
+    @cached_property
+    def _solver(self) -> _ResolventSolver:
+        return _ResolventSolver(self)
 
     def _surv(self) -> np.ndarray:
         return np.eye(self.dim) - np.outer(self.p_detect, np.ones(self.dim))
@@ -227,52 +237,6 @@ def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
     return out
 
 
-class _BorderedSolve:
-    """Solves X - phi o (S X S^T) = B for S = I - u v^T, given phi_jj = 1.
-
-    With r = X^T v, c = X v and s = v^T X v, S X S^T = X - u r^T - c u^T
-    + s u u^T.  The diagonal equations read r + c - s u = g, g = diag(B)/u,
-    which eliminates c; off the diagonal X_jk = Bt_jk - W_jk (u_j r_k +
-    (g_j - r_j) u_k), with W = phi/(1 - phi) and Bt = B/(1 - phi) (both 0
-    on the diagonal).  Summing those into r - c, in which diag(X) cancels,
-    leaves one (Nr+1) bordered system for (r, s), factored once here in
-    O(Nr^3); each solve is then O(Nr^2), and diag(X) follows from r.
-    ``finite`` is False when that system cannot be formed: some phi_jk = 1
-    off the diagonal, or a zero entry of u or v.
-    """
-
-    def __init__(self, phi: np.ndarray, u: np.ndarray, v: np.ndarray):
-        n = len(u)
-        self._u, self._v = u, v
-        m = np.empty((n + 1, n + 1), dtype=complex)
-        with np.errstate(all="ignore"):           # a pole 1 - phi_jk = 0 gives inf
-            inv_gap = 1.0 / (1.0 - phi)
-            np.fill_diagonal(inv_gap, 0.0)
-            self._inv_gap = inv_gap
-            self._w = phi * inv_gap
-            vu = v * u
-            self._w_vu = self._w @ vu
-            m[:n, :n] = -(u[:, None] * (self._w + self._w.T) * v)
-            m[:n, :n][np.diag_indices(n)] += 2.0 + vu @ self._w + self._w_vu
-        m[:n, n] = -u
-        m[n, :n] = v
-        m[n, n] = -1.0
-        self.finite = bool(np.isfinite(m).all() and np.all(u != 0) and np.all(v != 0))
-        if self.finite:
-            self._lu = lu_factor(m, check_finite=False)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        u, v, w = self._u, self._v, self._w
-        bt = b * self._inv_gap
-        g = b.diagonal() / u
-        rhs = np.zeros(len(u) + 1, dtype=complex)
-        rhs[:-1] = v @ bt - bt @ v + g * (1.0 + self._w_vu) - u * ((v * g) @ w)
-        r = lu_solve(self._lu, rhs, check_finite=False)[:-1]
-        x = bt - w * (np.outer(u, r) + np.outer(g - r, u))
-        x[np.diag_indices_from(x)] = (r - v @ x) / v     # x_jj is still 0 here
-        return x
-
-
 def _resolvent_norm1(sset: SuperoperatorSet) -> float:
     """||J||_1 exactly in O(Nr^3): the column (l, m) of J = I - diag(phi)
     (S (x) S) sums to (|S|^T |phi| |S|)_lm - |t_lm| + |1 - t_lm|, where
@@ -323,56 +287,89 @@ def _inverse_norm1_estimate(solve, solve_adjoint, n: int, itmax: int = 5) -> flo
 
 
 class _ResolventSolver:
-    """Linear solves against the resolvent J with conditioning surveillance.
+    """Solves J x = b and J^H y = b from one factorization, and watches cond_1(J).
 
-    The default backend is structured: J x = b is X - phi o (S X S^T) = B
-    for S = I - p 1^T, solved through one (Nr+1) bordered system
-    (``_BorderedSolve``) factored in O(Nr^3), each solve then O(Nr^2), so
-    no Nr^2 x Nr^2 array is formed.  The adjoint J^H y = b is the same
-    system for S^T = I - 1 p^T: z - conj(phi) o (S^T Z S) = conj(phi) o b,
-    then y = b + S^T Z S.  ``condition`` estimates cond_1(J) as the exact
-    ||J||_1 times the Hager-Higham estimate of ||J^-1||_1; it is inf when
-    the bordered system cannot be formed or the estimate is not finite.
-    The optional pseudo-inverse backend solves by a truncated-SVD
-    pseudo-inverse of the dense J (cutoff 1e-10 relative).
+    J x = b is X - phi o (S X S^T) = B for S = I - p 1^T.  With r and c the
+    column and row sums of X and s its total, S X S^T = X - p r^T - c p^T
+    + s p p^T.  The diagonal equations (phi_jj = 1) read r + c - s p = g,
+    g = diag(B)/p, which eliminates c; off the diagonal X_jk = Bt_jk - W_jk
+    (p_j r_k + (g_j - r_j) p_k), with W = phi/(1 - phi) and Bt = B/(1 - phi)
+    (both 0 on the diagonal).  Summing those into r - c, in which diag(X)
+    cancels, leaves one (Nr+1) bordered system for (r, s), factored once
+    here in O(Nr^3); each solve is then O(Nr^2), and diag(X) follows from r.
+
+    The adjoint needs no second factor: S^T = diag(p)^-1 S diag(p), so with
+    q = p (x) p and K = S (x) S, q o conj(J^H y) = (I - K diag(phi))^-1
+    (q o conj b), and (I - K diag(phi))^-1 = I + K J^-1 diag(phi) gives
+    y = b + conj(K J^-1 (phi o q o conj b) / q): one forward solve and one
+    survival product, dividing by q and never by phi.
+
+    ``condition`` estimates cond_1(J) as the exact ||J||_1 times the
+    Hager-Higham estimate of ||J^-1||_1; it is inf when the estimate is not
+    finite or the bordered system cannot be formed (some phi_jk = 1 off the
+    diagonal, or some p_j = 0), and in that last case nothing is factored.
     """
 
-    def __init__(self, sset: SuperoperatorSet, pseudo_inverse: bool = False):
-        self._sset = sset
-        self._pinv = None
-        if pseudo_inverse:
-            self.backend = "pinv"
-            u, s, vh = np.linalg.svd(sset.resolvent)
-            keep = s > PINV_RTOL * s[0]
-            self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-            smin = s[-1]
-            self.condition = float(s[0] / smin) if smin > 0 else np.inf
-            return
-        self.backend = "structured"
-        n = sset.dim
-        p, ones = sset.p_detect, np.ones(n)
-        self._phi = sset.phase_avg.reshape(n, n)
-        self._fwd = _BorderedSolve(self._phi, p, ones)
-        self._adj = _BorderedSolve(self._phi.conj(), ones, p)
+    backend = "structured"
+
+    def __init__(self, sset: SuperoperatorSet):
+        # weak: the set caches this solver, and a cycle would keep every
+        # dead set alive until the cyclic garbage collector runs
+        self._sset = weakref.proxy(sset)
+        n, p = sset.dim, sset.p_detect
+        phi = sset.phase_avg.reshape(n, n)
+        m = np.empty((n + 1, n + 1), dtype=complex)
+        with np.errstate(all="ignore"):           # a pole 1 - phi_jk = 0 gives inf
+            self._inv_gap = 1.0 / (1.0 - phi)
+            np.fill_diagonal(self._inv_gap, 0.0)
+            self._w = w = phi * self._inv_gap
+            self._w_p = w @ p
+            m[:n, :n] = -(p[:, None] * (w + w.T))
+            m[:n, :n][np.diag_indices(n)] += 2.0 + p @ w + self._w_p
+        m[:n, n] = -p
+        m[n, :n] = 1.0
+        m[n, n] = -1.0
         self.condition = np.inf
-        if self._fwd.finite and self._adj.finite:
+        if np.isfinite(m).all() and np.all(p != 0):
+            self._q = np.outer(p, p).ravel()
+            self._lu = lu_factor(m, check_finite=False)
             with np.errstate(all="ignore"):
-                est = _inverse_norm1_estimate(self.solve, self._solve_adjoint, n * n)
+                est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
             if np.isfinite(est):
                 self.condition = _resolvent_norm1(sset) * est
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._pinv is not None:
-            return self._pinv @ b
-        n = self._sset.dim
-        return self._fwd.solve(b.reshape(n, n)).ravel()
+        n, p, w = self._sset.dim, self._sset.p_detect, self._w
+        b = b.reshape(n, n)
+        bt = b * self._inv_gap
+        g = b.diagonal() / p
+        rhs = np.zeros(n + 1, dtype=complex)
+        rhs[:-1] = bt.sum(axis=0) - bt.sum(axis=1) + g * (1.0 + self._w_p) - p * (g @ w)
+        r = lu_solve(self._lu, rhs, check_finite=False)[:-1]
+        x = bt - w * (np.outer(p, r) + np.outer(g - r, p))
+        x[np.diag_indices(n)] = r - x.sum(axis=0)       # x_jj is still 0 here
+        return x.ravel()
 
-    def _solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        n, p = self._sset.dim, self._sset.p_detect
-        z = self._adj.solve(self._phi.conj() * b.reshape(n, n))
-        pz = p @ z
-        szs = z - pz - (z @ p - pz @ p)[:, None]        # S^T Z S
-        return b + szs.ravel()
+    def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
+        sset, q = self._sset, self._q
+        z = sset.survive(self.solve(sset.phase_avg * q * b.conj()))
+        return b + (z / q).conj()
+
+
+class _PseudoInverseSolver:
+    """Solves J x = b by a truncated-SVD pseudo-inverse of the dense J
+    (cutoff PINV_RTOL relative); ``condition`` is s_max / s_min."""
+
+    backend = "pinv"
+
+    def __init__(self, sset: SuperoperatorSet):
+        u, s, vh = np.linalg.svd(sset.resolvent)
+        keep = s > PINV_RTOL * s[0]
+        self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+        self.condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._pinv @ b
 
 
 def _exceptional_pairs(sset: SuperoperatorSet, cond_limit: float):
@@ -408,7 +405,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     near-degenerate spectrum), unless ``pseudo_inverse`` is set, in which
     case a truncated-SVD pseudo-inverse is used instead.
     """
-    solver = _ResolventSolver(sset, pseudo_inverse=pseudo_inverse)
+    solver = _PseudoInverseSolver(sset) if pseudo_inverse else sset._solver
     if solver.condition > cond_limit and not pseudo_inverse:
         j = int(np.argmin(sset.p_detect))
         raise IllConditionedError(solver.condition, _exceptional_pairs(sset, cond_limit),
@@ -476,8 +473,7 @@ def zero_mode_census(sset: SuperoperatorSet,
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = sset.dim
-    solver = _ResolventSolver(sset) if n > DENSE_CENSUS_MAX_DIM else None
-    if solver is None or not np.isfinite(solver.condition):
+    if n <= DENSE_CENSUS_MAX_DIM or not np.isfinite(sset._solver.condition):
         mags = np.abs(np.linalg.eigvals(sset.transfer))
         n_zero = int(np.sum(mags < tol))
         return ZeroModeCensus(n_zero=n_zero, n_nonzero=mags.size - n_zero,
@@ -488,7 +484,8 @@ def zero_mode_census(sset: SuperoperatorSet,
     m = n * n
     transfer = LinearOperator((m, m), dtype=complex,
                               matvec=lambda x: sset.phase_avg * sset.survive(x))
-    shift_inverse = LinearOperator((m, m), dtype=complex, matvec=lambda x: -solver.solve(x))
+    shift_inverse = LinearOperator((m, m), dtype=complex,
+                                   matvec=lambda x: -sset._solver.solve(x))
     try:
         ritz = eigs(transfer, k=3, sigma=1.0, OPinv=shift_inverse,
                     v0=np.ones(m, dtype=complex), return_eigenvectors=False)

@@ -143,6 +143,11 @@ def _check_structured_vs_dense():
             cond = ref["condition"]
             assert cond / 3 <= st.condition <= cond * (1 + 1e-8), (
                 f"{model.label} / {dist}: condition {st.condition} vs cond_1 {cond}")
+            # the adjoint solve rides on the forward factor; check it against J^H
+            b = np.exp(1j * np.arange(sset.dim**2))
+            y = np.linalg.solve(sset.resolvent.conj().T, b)
+            err = np.linalg.norm(sset._solver.solve_adjoint(b) - y) / np.linalg.norm(y)
+            assert err <= 1e-10, f"{model.label} / {dist}: adjoint solve error {err}"
 
 
 def _check_tls_closedform_match():

@@ -345,6 +345,12 @@ def test_cli_sweep_non_numeric_key_exits_two(tmp_path, capsys):
     ["stats", *RING7, "--dist", "fixed", "--tau", "inf"],
     ["stats", *RING7, "--dist", "gamma", "--alpha", "inf", "--mean", "0.6"],
     ["mc", *RING7, "--dist", "exp", "--mean", "inf", "--nreal", "10"],
+    # finite parameters whose <tau^2> overflows a double
+    ["stats", *RING7, "--dist", "exp", "--mean", "1e160"],
+    ["fn", *RING7, "--dist", "fixed", "--tau", "1e300", "--nmax", "3"],
+    ["sweep", *RING7, "--dist", "gamma", "--alpha", "1e-10", "--axis", "mean_tau",
+     "--grid", "0.5,1e150"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "1e300", "--nreal", "10"],
 ])
 def test_cli_invalid_argument_exits_two(capsys, argv):
     rc = cli.main(argv)

@@ -218,3 +218,23 @@ def test_invalid_parameters_rejected():
 def test_non_finite_parameters_rejected(make, value):
     with pytest.raises(ValueError):
         make(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FixedInterval(1e300),
+    lambda: ExponentialInterval(1e160),
+    lambda: GammaInterval(2.0, 1e160),
+    lambda: GammaInterval(1e-10, 1e150),       # mu^2 finite, mu^2 / alpha not
+    lambda: GammaInterval(5e-324, 1.0),
+])
+def test_overflowing_second_moment_rejected(make):
+    # the non-finite cases above, reached through finite parameters whose
+    # <tau^2> overflows a double; the check itself must not raise
+    # OverflowError, which plain float powers would
+    with pytest.raises(ValueError, match=r"<tau\^2> of the .* must be finite"):
+        make()
+
+
+def test_second_moment_just_below_overflow_accepted():
+    assert FixedInterval(1e154).second_moment == pytest.approx(1e308)
+    assert GammaInterval(1.0, 9e153).second_moment == pytest.approx(1.62e308)

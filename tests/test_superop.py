@@ -6,11 +6,13 @@ and the structural constraints (zero modes, Hermiticity pairing, rank-one
 source) that the construction must satisfy for any model.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qprobe import cli, superop
 from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                            IllConditionedError)
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
@@ -543,6 +545,64 @@ def test_small_detection_weight_ladder(dist_name):
     assert err.pairs == [] and err.p_min_index == 0
     assert err.p_min == pytest.approx(3e-12, rel=1e-6)
     assert "smallest detection weight p[0] = 3.000e-12" in str(err)
+
+
+SOLVE_MODELS = {name: make for name, make in CROSS_MODELS.items() if name != "full_ring6"}
+SOLVE_MODELS.update({f"ladder_{p_min:g}": lambda p_min=p_min: p_min_ladder_model(p_min)
+                     for p_min in (6e-3, 1e-4, 1e-6, 1e-8, 1e-10)})
+
+
+@pytest.mark.parametrize("model_name", list(SOLVE_MODELS))
+def test_structured_forward_and_adjoint_solves_match_dense(model_name):
+    # one bordered factor serves J and, through S^T = diag(p)^-1 S diag(p),
+    # J^H; measured errors <= 0.29 cond eps (1.5e-7 at p_min = 1e-10,
+    # where q = p (x) p reaches 1e-20), pinned at 2e-16 cond
+    sd = SOLVE_MODELS[model_name]()
+    rng = np.random.default_rng(4)
+    for dist_name, dist in CROSS_DISTS.items():
+        sset = build_superops(sd, dist)
+        solver, j = sset._solver, sset.resolvent
+        b = rng.normal(size=len(j)) + 1j * rng.normal(size=len(j))
+        for solve, dense in ((solver.solve, j), (solver.solve_adjoint, j.conj().T)):
+            ref = np.linalg.solve(dense, b)
+            err = np.linalg.norm(solve(b) - ref) / np.linalg.norm(ref)
+            assert err <= 2e-16 * solver.condition, (dist_name, solve.__name__, err)
+
+
+@pytest.fixture
+def lu_factor_calls(monkeypatch):
+    """The list of matrices passed to superop.lu_factor while the test runs."""
+    calls = []
+    factor = superop.lu_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(superop, "lu_factor", counting)
+    return calls
+
+
+def test_one_bordered_factorization_per_superoperator_set(capsys, lu_factor_calls):
+    # the moments, the adjoint solves of the condition estimate and the
+    # census share the factor a set builds on first use
+    ring80 = ["--L", "80", "--gamma", "1", "--xin", "40", "--xd", "0", "--dist", "exp"]
+    assert cli.main(["stats", *ring80, "--mean", "0.6"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced_dim"] == 41
+    assert [a.shape for a in lu_factor_calls] == [(42, 42)]
+    del lu_factor_calls[:]
+    assert cli.main(["sweep", *ring80, "--axis", "mean_tau", "--grid", "0.5,0.6,0.7"]) == 0
+    assert "ill-conditioned" not in capsys.readouterr().out
+    assert len(lu_factor_calls) == 3
+    del lu_factor_calls[:]
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), dist)
+    detection_stats(sset, dist, pseudo_inverse=True)
+    assert lu_factor_calls == []
+    detection_stats(sset, dist)
+    zero_mode_census(sset)
+    universal_identity_check(sset, dist)
+    assert len(lu_factor_calls) == 1
 
 
 def test_singular_full_space_raises_without_pseudo_inverse():
