@@ -9,8 +9,9 @@ config file (``--model``) and/or flags; flags override the file.
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
 closed-form divergence, an eigenvalue iteration that fails its check),
 2 on configuration errors (out-of-range flag values and an unwritable
---out included), on degenerate problems and on dense matrices over the
-memory budget.
+--out included), on degenerate problems, on dense matrices over the
+memory budget and on a moment that overflows a double (an interval
+scale too large for the model).
 Every input is checked, and --out created, before the computation.
 The environment variable QPROBE_THREADS caps sweep parallelism.
 """
@@ -23,6 +24,7 @@ import csv
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -231,16 +233,22 @@ def cmd_mc(args) -> int:
     elif args.ncut < 2:
         raise ConfigError(f"--ncut must be >= 2, got {args.ncut}")
     with _opened_out(args.out) as fh:
+        start = time.perf_counter()
         if bernoulli:
             ens = run_bernoulli(model, dist, n_real=n_real, seed=seed, n_abort=n_abort)
-            _emit(fh, "csv", None, ["n", "t"],
-                  ([int(n), repr(float(t))] for n, t in zip(ens.attempts, ens.times)))
+            header, rows = ["n", "t"], ([int(n), repr(float(t))]
+                                        for n, t in zip(ens.attempts, ens.times))
         else:
             ens = run_per_realization(model, dist, n_real=n_real, n_cut=args.ncut, seed=seed)
-            _emit(fh, "csv", None, ["realization", "nbar"],
-                  ([i, repr(float(nb))] for i, nb in enumerate(ens.nbar)))
+            header, rows = ["realization", "nbar"], ([i, repr(float(nb))]
+                                                     for i, nb in enumerate(ens.nbar))
+        wall = time.perf_counter() - start
+        _emit(fh, "csv", None, header, rows)
+    summary = ens.summary()
+    summary["wall_s"] = wall                  # the Monte Carlo run, output excluded
+    summary["steps_per_s"] = ens.probe_steps / wall
     stream = sys.stderr if args.out in (None, "-") else sys.stdout
-    _emit(stream, "json", {"config": cfg, "summary": ens.summary()})
+    _emit(stream, "json", {"config": cfg, "summary": summary})
     return 0
 
 

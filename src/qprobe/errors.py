@@ -28,6 +28,12 @@ class ConvergenceError(QprobeError):
     failed the consistency check that guards it."""
 
 
+class MomentOverflowError(QprobeError):
+    """A first-detection moment is not finite in double precision although
+    the interval law's moments are (an interval scale too large for the
+    model's time scales)."""
+
+
 class DenseSizeError(QprobeError):
     """A dense Nr^2 x Nr^2 matrix would exceed the memory budget."""
 

@@ -138,17 +138,28 @@ class GammaInterval(IntervalDistribution):
     def variance(self) -> float:
         return self.mu**2 / self.alpha
 
+    def _base_power(self, delta, extra: int):
+        """(1 - i delta/beta)**-(alpha + extra).  At a huge |delta|/beta
+        numpy's small-integer power overflows on the way and returns inf
+        or nan; those entries are taken as exp(p log(base)) instead."""
+        base = np.asarray(1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha)
+        p = -self.alpha - extra
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(base ** p)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.exp(p * np.log(base[bad]))
+        return out[()]
+
     def charfn(self, delta):
-        base = 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha
-        return base ** (-self.alpha)
+        return self._base_power(delta, 0)
 
     def weighted_charfn(self, delta, power: int):
         # <tau**p e^{i d tau}> = Gamma(a+p)/(Gamma(a) beta**p) (1 - i d/beta)**-(a+p)
         _check_power(power)
-        base = 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha
         if power == 1:
-            return self.mu * base ** (-self.alpha - 1)
-        return self.mu**2 * (1.0 + 1.0 / self.alpha) * base ** (-self.alpha - 2)
+            return self.mu * self._base_power(delta, 1)
+        return self.mu**2 * (1.0 + 1.0 / self.alpha) * self._base_power(delta, 2)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.alpha, self.mu / self.alpha, size)

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
-                     IllConditionedError)
+                     IllConditionedError, MomentOverflowError)
 from .intervals import IntervalDistribution
 from .model import PDET_FLOOR, SpectralData
 
@@ -403,7 +403,9 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     Raises IllConditionedError when the estimated condition number exceeds
     ``cond_limit`` (typically at an exceptional fixed probing period or a
     near-degenerate spectrum), unless ``pseudo_inverse`` is set, in which
-    case a truncated-SVD pseudo-inverse is used instead.
+    case a truncated-SVD pseudo-inverse is used instead.  Raises
+    MomentOverflowError, naming the first moment that is not finite, when
+    a moment overflows a double although the interval law's do not.
     """
     solver = _PseudoInverseSolver(sset) if pseudo_inverse else sset._solver
     if solver.condition > cond_limit and not pseudo_inverse:
@@ -426,22 +428,25 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     n_sq = float((2.0 * f3.sum() - f2.sum()).real) / p_det
 
     surv_f1 = sset.survive(f1)
-    g = solver.solve(sset.phase_avg_t * (surv_f1 + sset.source_vec))
-    t_mean = float(g.sum().real) / p_det
-    h = solver.solve(
-        sset.phase_avg_tt * (surv_f1 + sset.source_vec)
-        + 2.0 * sset.phase_avg_t * sset.survive(g)
-    )
-    t_sq = float(h.sum().real) / p_det
+    with np.errstate(over="ignore", invalid="ignore"):    # checked below
+        g = solver.solve(sset.phase_avg_t * (surv_f1 + sset.source_vec))
+        t_mean = float(g.sum().real) / p_det
+        h = solver.solve(
+            sset.phase_avg_tt * (surv_f1 + sset.source_vec)
+            + 2.0 * sset.phase_avg_t * sset.survive(g)
+        )
+        t_sq = float(h.sum().real) / p_det
 
+    moments = {"p_det": p_det, "n_mean": n_mean, "n_sq": n_sq, "t_mean": t_mean,
+               "t_sq": t_sq, "n_var": n_sq - n_mean * n_mean,
+               "t_var": t_sq - t_mean * t_mean}    # float * overflows to inf, ** raises
+    for name, value in moments.items():
+        if not np.isfinite(value):
+            raise MomentOverflowError(
+                f"{name} = {value} is not finite in double precision; the interval "
+                f"scale (mean {dist.mean:.3e}) is too large for this model, rescale time")
     return DetectionStatistics(
-        p_det=p_det,
-        n_mean=n_mean,
-        n_sq=n_sq,
-        t_mean=t_mean,
-        t_sq=t_sq,
-        n_var=n_sq - n_mean**2,
-        t_var=t_sq - t_mean**2,
+        **moments,
         condition=solver.condition,
         reduced_dim=sset.dim,
         backend=solver.backend,

@@ -272,6 +272,8 @@ def test_cli_mc_deterministic_files(tmp_path, capsys):
     assert cli.main(base + ["--out", str(out2)]) == 0
     summary2 = json.loads(capsys.readouterr().out)
     assert out1.read_text() == out2.read_text()
+    for doc in (summary1, summary2):     # the run's timing is all that may differ
+        assert doc["summary"].pop("wall_s") > 0 and doc["summary"].pop("steps_per_s") > 0
     assert summary1 == summary2
     assert summary1["config"]["seed"] == "99"
     rows = list(csv.reader(io.StringIO(out1.read_text())))
@@ -303,6 +305,37 @@ def test_cli_mc_per_realization_summary(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == ["realization", "nbar"]
     assert len(rows) == 20001
+
+
+@pytest.mark.parametrize("mode, flags", [("bernoulli", ["--n-abort", "40"]),
+                                         ("per_realization", ["--ncut", "30"])])
+def test_cli_mc_summary_reports_probe_steps_and_throughput(tmp_path, capsys, mode, flags):
+    out = tmp_path / "r.csv"
+    rc = cli.main(["mc", "--L", "6", "--gamma", "1", "--xin", "1", "--xd", "0",
+                   "--dist", "exp", "--mean", "0.6", "--mode", mode, "--nreal", "400",
+                   "--seed", "4", *flags, "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    if mode == "bernoulli":
+        # ring 6 from site 1 has dark overlap: about half the rows are censored
+        assert summary["censored"] > 0 and summary["censored_reason"] == "n_abort"
+        steps = sum(int(r[0]) for r in rows) + 40 * summary["censored"]
+    else:
+        assert summary["censored_reason"] is None
+        steps = 400 * 30
+    assert summary["probe_steps"] == steps
+    assert summary["wall_s"] > 0
+    assert summary["steps_per_s"] == pytest.approx(steps / summary["wall_s"])
+
+
+def test_cli_mc_uncensored_run_has_no_censored_reason(capsys):
+    rc = cli.main(["mc", "--L", "2", "--gamma", "0.5", "--xin", "0", "--xd", "0",
+                   "--dist", "exp", "--mean", "0.6", "--nreal", "200", "--seed", "1",
+                   "--n-abort", "5000", "--out", "-"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().err)["summary"]
+    assert summary["censored"] == 0 and summary["censored_reason"] is None
 
 
 def test_cli_verify_quick_in_process(capsys):
@@ -357,6 +390,21 @@ def test_cli_invalid_argument_exits_two(capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # <tau^2> is finite, but t_sq overflows a double inside the solve
+    ["stats", *RING7, "--dist", "fixed", "--tau", "1e154"],
+    ["stats", "--L", "24", "--gamma", "1", "--xin", "12", "--xd", "0",
+     "--dist", "exp", "--mean", "1e153"],
+])
+def test_cli_overflowing_moment_exits_two(capsys, argv):
+    rc = cli.main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t_sq = ") and captured.err.count("\n") == 1
 
 
 def test_cli_mc_summary_to_stderr_without_out(capsys):

@@ -238,3 +238,21 @@ def test_overflowing_second_moment_rejected(make):
 def test_second_moment_just_below_overflow_accepted():
     assert FixedInterval(1e154).second_moment == pytest.approx(1e308)
     assert GammaInterval(1.0, 9e153).second_moment == pytest.approx(1.62e308)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 3.5])
+def test_gamma_charfn_at_huge_argument_is_finite(alpha):
+    # numpy's small-integer complex power overflows to inf or nan here
+    # (alpha = 2 gave nan for the tau^2-weighted form); the polar form holds
+    d = GammaInterval(alpha, 1e80)
+    delta = np.array([0.0, 1.0, -2.5])
+    base = 1.0 - 1j * delta * d.mu / alpha
+    for value, extra, scale in [(d.charfn(delta), 0, 1.0),
+                                (d.weighted_charfn(delta, 1), 1, d.mu),
+                                (d.weighted_charfn(delta, 2), 2, d.second_moment)]:
+        assert np.all(np.isfinite(value))
+        expect = scale * np.exp((-alpha - extra) * np.log(base))
+        assert np.allclose(value, expect, rtol=1e-12, atol=0)
+    assert d.charfn(1.0) == pytest.approx(np.exp(-alpha * np.log(1.0 - 1j * 1e80 / alpha)),
+                                          rel=1e-12)

@@ -14,7 +14,7 @@ import pytest
 
 from qprobe import cli, superop
 from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
-                           IllConditionedError)
+                           IllConditionedError, MomentOverflowError)
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import (build_dense, build_ring, build_two_level,
                           spectral_full, spectral_reduce)
@@ -614,3 +614,27 @@ def test_singular_full_space_raises_without_pseudo_inverse():
         detection_stats(sset, dist)
     assert info.value.condition == np.inf
     assert info.value.p_min == 0.0 and info.value.pairs
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L, x_in, dist", [
+    (7, 1, FixedInterval(1e154)),              # t_mean**2 raised OverflowError
+    (24, 12, ExponentialInterval(1e153)),      # t_sq came out nan
+])
+def test_overflowing_moment_raises_naming_it(L, x_in, dist):
+    assert np.isfinite(dist.second_moment)
+    sset = build_superops(spectral_reduce(build_ring(L, 1.0, x_in, 0)), dist)
+    with pytest.raises(MomentOverflowError, match=r"^t_sq = (inf|nan) is not finite"):
+        detection_stats(sset, dist)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist", [FixedInterval(1e150), ExponentialInterval(1e150),
+                                  GammaInterval(2.0, 1e80), GammaInterval(3.0, 1e100)])
+def test_huge_but_representable_time_moments(dist):
+    # the time moments scale with the interval while n_mean does not, and
+    # t_mean = <tau> n_mean holds for every law
+    st = detection_stats(build_superops(spectral_reduce(build_ring(7, 1.0, 1, 0)), dist),
+                         dist)
+    assert all(np.isfinite([st.t_mean, st.t_sq, st.t_var, st.n_var]))
+    assert st.t_mean == pytest.approx(dist.mean * st.n_mean, rel=1e-10)

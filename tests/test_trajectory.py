@@ -9,12 +9,13 @@ distribution.
 import numpy as np
 import pytest
 
+from qprobe import trajectory
 from qprobe.errors import DegenerateProblemError
-from qprobe.intervals import ExponentialInterval, FixedInterval
+from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_dense, build_ring, build_two_level, spectral_reduce
 from qprobe.superop import build_superops, detection_stats, fn_series
-from qprobe.trajectory import (_chunk_generators, run_bernoulli,
-                               run_per_realization)
+from qprobe.trajectory import (_chunk_generators, _eigenphase_setup, _probe,
+                               run_bernoulli, run_per_realization)
 from qprobe.verify import stroboscopic_fn_direct
 
 
@@ -210,3 +211,113 @@ def test_dark_initial_state_per_realization_raises():
     # "never detected" is a true answer in bernoulli mode
     ens = run_bernoulli(model, dist, n_real=500, seed=3, n_abort=30)
     assert ens.censored == 500 and len(ens.attempts) == 0
+
+
+def reference_probe(c, tau, neg_w, coeff_d, e=None):
+    """The probe step written with temporaries: the complex exp of the
+    imaginary phase, the gemv and the rank-one update as one product."""
+    w = -neg_w
+    c *= np.exp(-1j * tau[:, None] * w[None, :])
+    amp = c @ coeff_d.conj()
+    c -= amp[:, None] * coeff_d[None, :]
+    return np.abs(amp) ** 2
+
+
+def random_dense_model(n, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    psi_in = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi_d = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return build_dense(h + h.conj().T, psi_in / np.linalg.norm(psi_in),
+                       psi_d / np.linalg.norm(psi_d))
+
+
+@pytest.mark.parametrize("dist", [FixedInterval(0.7), GammaInterval(2.5, 0.6)],
+                         ids=["fixed", "gamma"])
+@pytest.mark.parametrize("n", [2, 6, 64])
+def test_fused_probe_is_bitwise_the_reference_step(n, dist):
+    w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
+    assert np.iscomplexobj(coeff_d) and np.any(coeff_d.imag != 0)
+    m, rng = 257, np.random.default_rng(11)
+    c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
+    e = np.empty_like(c_new)
+    for _ in range(6):
+        tau = np.atleast_1d(dist.sample(rng, m))
+        f_ref = reference_probe(c_ref, tau, -w, coeff_d)
+        f_new = _probe(c_new, tau, -w, coeff_d, e)
+        assert np.array_equal(f_new, f_ref)
+        assert np.array_equal(c_new, c_ref)
+    # a leading-row slice of the buffer, as bernoulli mode passes it
+    k = 100
+    f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), -w, coeff_d)
+    f_new = _probe(c_new[:k], np.full(k, 0.3), -w, coeff_d, e[:k])
+    assert np.array_equal(f_new, f_ref) and np.array_equal(c_new, c_ref)
+
+
+def reference_bernoulli(model, dist, n_real, seed, n_abort, chunk):
+    """Bernoulli mode with the live set kept as an index array: every probe
+    indexes v and the elapsed times by it and steps the reference probe."""
+    w, coeff_in, coeff_d = _eigenphase_setup(model)
+    attempts, times, censored = [], [], 0
+    for rng, m in _chunk_generators(seed, n_real, chunk):
+        v = rng.random(m)
+        c = np.tile(coeff_in, (m, 1))
+        live, cum = np.arange(m), np.zeros(m)
+        attempt, t_acc = np.zeros(m, dtype=np.int64), np.zeros(m)
+        for n in range(1, n_abort + 1):
+            tau = np.atleast_1d(dist.sample(rng, len(live)))
+            t_acc[live] += tau
+            cum += reference_probe(c, tau, -w, coeff_d)
+            hit = cum > v[live]
+            attempt[live[hit]] = n
+            live, c, cum = live[~hit], c[~hit], cum[~hit]
+            if not len(live):
+                break
+        censored += len(live)
+        attempts.append(attempt[attempt > 0])
+        times.append(t_acc[attempt > 0])
+    return np.concatenate(attempts), np.concatenate(times), censored
+
+
+@pytest.mark.parametrize("model", [build_ring(6, 1.0, 1, 0), random_dense_model(6, seed=3)],
+                         ids=["ring6", "dense6"])
+def test_fused_probe_runs_match_the_reference_step(monkeypatch, model):
+    # ring 6 has dark overlap, so bernoulli rows detect, shrink the live set
+    # (the step gets a leading-row slice of its buffer) and the rest is
+    # censored; chunk 2**10 gives several chunks
+    dist = ExponentialInterval(0.6)
+    kw = dict(n_real=3000, chunk=1 << 10)
+
+    def runs():
+        b = run_bernoulli(model, dist, seed=5, n_abort=200, **kw)
+        p = run_per_realization(model, dist, n_cut=40, seed=6, **kw)
+        return b, p
+
+    b_new, p_new = runs()
+    attempts, times, censored = reference_bernoulli(model, dist, seed=5, n_abort=200, **kw)
+    monkeypatch.setattr(trajectory, "_probe", reference_probe)
+    b_ref, p_ref = runs()
+    assert b_new.censored == b_ref.censored == censored
+    assert np.array_equal(b_new.attempts, b_ref.attempts)
+    assert np.array_equal(b_new.attempts, attempts)
+    assert np.array_equal(b_new.times, b_ref.times)
+    assert np.array_equal(b_new.times, times)
+    for name in ("nbar", "pdet", "fn_mean", "fn_stderr"):
+        assert np.array_equal(getattr(p_new, name), getattr(p_ref, name)), name
+    if model.label.startswith("ring"):
+        assert 0 < censored < 3000
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "per_realization"])
+def test_probe_steps_count(mode):
+    model, dist = build_ring(6, 1.0, 1, 0), ExponentialInterval(0.6)
+    if mode == "bernoulli":
+        ens = run_bernoulli(model, dist, n_real=500, seed=3, n_abort=50)
+        assert ens.censored > 0
+        assert ens.probe_steps == ens.attempts.sum() + 50 * ens.censored
+        assert ens.summary()["censored_reason"] == "n_abort"
+    else:
+        ens = run_per_realization(model, dist, n_real=500, n_cut=30, seed=3)
+        assert ens.probe_steps == 500 * 30
+        assert ens.summary()["censored_reason"] is None
+    assert ens.summary()["probe_steps"] == ens.probe_steps
