@@ -142,14 +142,13 @@ class GammaInterval(IntervalDistribution):
         """(1 - i delta/beta)**-(alpha + extra).  At a huge |delta|/beta
         numpy's small-integer power overflows on the way and returns inf
         or nan; those entries are taken as exp(p log(base)) instead."""
-        base = np.asarray(1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha)
+        base = 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha
         p = -self.alpha - extra
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(base ** p)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.exp(p * np.log(base[bad]))
-        return out[()]
+            out = base ** p
+        if np.isfinite(out).all():
+            return out
+        return np.where(np.isfinite(out), out, np.exp(p * np.log(base)))
 
     def charfn(self, delta):
         return self._base_power(delta, 0)

@@ -124,10 +124,12 @@ class TrajectoryEnsemble:
 
 
 def _eigenphase_setup(model: QuantumModel):
+    """Minus the eigenvalues (the phase rates of the probe step) and the
+    eigenbasis amplitudes of psi_in and psi_d."""
     w, v = np.linalg.eigh(model.hamiltonian)
     coeff_in = v.conj().T @ model.psi_in
     coeff_d = v.conj().T @ model.psi_d
-    return w, coeff_in, coeff_d
+    return -w, coeff_in, coeff_d
 
 
 def _chunk_generators(seed: int, n_real: int, chunk: int):
@@ -172,8 +174,7 @@ def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
         raise ValueError(f"n_abort must be >= 1, got {n_abort}")
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
-    w, coeff_in, coeff_d = _eigenphase_setup(model)
-    neg_w = -w
+    neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
     attempts_all, times_all = [], []
     censored = 0
     for rng, m in _chunk_generators(seed, n_real, chunk):
@@ -221,8 +222,7 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
         raise ValueError(f"n_cut must be >= 2, got {n_cut}")
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
-    w, coeff_in, coeff_d = _eigenphase_setup(model)
-    neg_w = -w
+    neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
     fn_sum = np.zeros(n_cut)
     fn_sq_sum = np.zeros(n_cut)
     nf_all, pdet_all = [], []

@@ -236,28 +236,28 @@ def random_dense_model(n, seed):
                          ids=["fixed", "gamma"])
 @pytest.mark.parametrize("n", [2, 6, 64])
 def test_fused_probe_is_bitwise_the_reference_step(n, dist):
-    w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
+    neg_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
     assert np.iscomplexobj(coeff_d) and np.any(coeff_d.imag != 0)
     m, rng = 257, np.random.default_rng(11)
     c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
     e = np.empty_like(c_new)
     for _ in range(6):
         tau = np.atleast_1d(dist.sample(rng, m))
-        f_ref = reference_probe(c_ref, tau, -w, coeff_d)
-        f_new = _probe(c_new, tau, -w, coeff_d, e)
+        f_ref = reference_probe(c_ref, tau, neg_w, coeff_d)
+        f_new = _probe(c_new, tau, neg_w, coeff_d, e)
         assert np.array_equal(f_new, f_ref)
         assert np.array_equal(c_new, c_ref)
     # a leading-row slice of the buffer, as bernoulli mode passes it
     k = 100
-    f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), -w, coeff_d)
-    f_new = _probe(c_new[:k], np.full(k, 0.3), -w, coeff_d, e[:k])
+    f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), neg_w, coeff_d)
+    f_new = _probe(c_new[:k], np.full(k, 0.3), neg_w, coeff_d, e[:k])
     assert np.array_equal(f_new, f_ref) and np.array_equal(c_new, c_ref)
 
 
 def reference_bernoulli(model, dist, n_real, seed, n_abort, chunk):
     """Bernoulli mode with the live set kept as an index array: every probe
     indexes v and the elapsed times by it and steps the reference probe."""
-    w, coeff_in, coeff_d = _eigenphase_setup(model)
+    neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
     attempts, times, censored = [], [], 0
     for rng, m in _chunk_generators(seed, n_real, chunk):
         v = rng.random(m)
@@ -267,7 +267,7 @@ def reference_bernoulli(model, dist, n_real, seed, n_abort, chunk):
         for n in range(1, n_abort + 1):
             tau = np.atleast_1d(dist.sample(rng, len(live)))
             t_acc[live] += tau
-            cum += reference_probe(c, tau, -w, coeff_d)
+            cum += reference_probe(c, tau, neg_w, coeff_d)
             hit = cum > v[live]
             attempt[live[hit]] = n
             live, c, cum = live[~hit], c[~hit], cum[~hit]
