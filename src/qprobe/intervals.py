@@ -141,14 +141,14 @@ class GammaInterval(IntervalDistribution):
     def _base_power(self, delta, extra: int):
         """(1 - i delta/beta)**-(alpha + extra).  At a huge |delta|/beta
         numpy's small-integer power overflows on the way and returns inf
-        or nan; those entries are taken as exp(p log(base)) instead."""
+        or nan; the polar form exp(p log(base)) is taken instead."""
         base = 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha
         p = -self.alpha - extra
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = base ** p
-        if np.isfinite(out).all():
-            return out
-        return np.where(np.isfinite(out), out, np.exp(p * np.log(base)))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return base ** p
+        except FloatingPointError:
+            return np.exp(p * np.log(base))
 
     def charfn(self, delta):
         return self._base_power(delta, 0)
