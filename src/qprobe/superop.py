@@ -38,6 +38,7 @@ small sets (Nr <= 12) and the dense test oracles, and never above a
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -441,7 +442,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
                "t_sq": t_sq, "n_var": n_sq - n_mean * n_mean,
                "t_var": t_sq - t_mean * t_mean}    # float * overflows to inf, ** raises
     for name, value in moments.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise MomentOverflowError(
                 f"{name} = {value} is not finite in double precision; the interval "
                 f"scale (mean {dist.mean:.3e}) is too large for this model, rescale time")

@@ -329,15 +329,6 @@ def test_cli_mc_summary_reports_probe_steps_and_throughput(tmp_path, capsys, mod
     assert summary["steps_per_s"] == pytest.approx(steps / summary["wall_s"])
 
 
-def test_cli_mc_uncensored_run_has_no_censored_reason(capsys):
-    rc = cli.main(["mc", "--L", "2", "--gamma", "0.5", "--xin", "0", "--xd", "0",
-                   "--dist", "exp", "--mean", "0.6", "--nreal", "200", "--seed", "1",
-                   "--n-abort", "5000", "--out", "-"])
-    assert rc == 0
-    summary = json.loads(capsys.readouterr().err)["summary"]
-    assert summary["censored"] == 0 and summary["censored_reason"] is None
-
-
 def test_cli_verify_quick_in_process(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out

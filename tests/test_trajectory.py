@@ -93,6 +93,7 @@ def test_bernoulli_tls_return_mean():
     ens = run_bernoulli(model, dist, n_real=10**5, seed=5150, n_abort=5000)
     s = ens.summary()
     assert ens.censored == 0
+    assert s["censored_reason"] is None and s["probe_steps"] == ens.attempts.sum()
     assert abs(s["n_mean"] - 2.0) <= 4 * s["n_stderr"]
 
 
