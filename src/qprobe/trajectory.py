@@ -144,7 +144,7 @@ def _probe(c, tau, neg_w, coeff_d, e):
     """Evolve row i of ``c`` (eigenbasis amplitudes) for ``tau[i]``, project
     psi_d out in place and return F = |<psi_d|c>|**2 before the projection.
 
-    ``neg_w`` is minus the eigenphases and ``e`` a complex scratch buffer
+    ``neg_w`` is minus the eigenvalues and ``e`` a complex scratch buffer
     of the shape of ``c``; the step allocates no array of that shape.
     """
     np.multiply(tau[:, None], neg_w, out=e.imag)      # the phase -tau w
