@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -126,6 +125,8 @@ def cmd_stats(args) -> int:
     census = zero_mode_census(sset)
     moments = stats.as_dict()
     diagnostics = {key: moments.pop(key) for key in ("backend", "residual")}
+    diagnostics["dim"] = sd.bright.shape[0]
+    diagnostics["identity_residual"] = abs(stats.t_mean - dist.mean * stats.n_mean)
     doc = {
         "config": cfg,
         "reduced_dim": sd.reduced_dim,
@@ -160,7 +161,9 @@ def cmd_fn(args) -> int:
 def run_sweep(sd, axis: str, points, outputs, workers: int,
               pseudo_inverse: bool) -> list[dict]:
     """Evaluate every (grid value, interval law) point in order;
-    ill-conditioned points are flagged in-row."""
+    ill-conditioned points are flagged in-row.  Rows whose point ran
+    ``detection_stats`` (every row unless ``outputs`` is only lambda_max)
+    also carry its ``condition``, which the CSV does not show."""
 
     def one(point) -> dict:
         value, dist = point
@@ -176,14 +179,18 @@ def run_sweep(sd, axis: str, points, outputs, workers: int,
                 else:
                     row[name] = getattr(stats, name)
             row["status"] = "ok"
+            if stats is not None:
+                row["condition"] = stats.condition
         except IllConditionedError as exc:
             for name in outputs:
                 row[name] = ""
             row["status"] = f"ill-conditioned cond~{exc.condition:.3e}"
+            row["condition"] = exc.condition
         return row
 
     if workers == 1:
         return [one(p) for p in points]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, points))
 

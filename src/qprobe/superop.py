@@ -44,7 +44,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                      IllConditionedError, MomentOverflowError)
@@ -251,6 +250,20 @@ def _resolvent_norm1(sset: SuperoperatorSet) -> float:
     return float(cols.max())
 
 
+# scipy.linalg is imported at the first factorization, not with the module:
+# it doubles the start-up time of commands that never solve (fn, mc)
+def lu_factor(a: np.ndarray):
+    """LU factors of the square matrix ``a`` (``scipy.linalg.lu_factor``)."""
+    from scipy.linalg import lu_factor as factor
+    return factor(a, check_finite=False)
+
+
+def lu_solve(lu, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from the factors ``lu_factor(a)`` returned."""
+    from scipy.linalg import lu_solve as solve
+    return solve(lu, b, check_finite=False)
+
+
 def _unit(y: np.ndarray) -> np.ndarray:
     """y / |y| entrywise, 1 where |y| is below the smallest normal number."""
     mag = np.abs(y)
@@ -333,7 +346,7 @@ class _ResolventSolver:
         self.condition = np.inf
         if np.isfinite(m).all() and np.all(p != 0):
             self._q = np.outer(p, p).ravel()
-            self._lu = lu_factor(m, check_finite=False)
+            self._lu = lu_factor(m)
             with np.errstate(all="ignore"):
                 est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
             if np.isfinite(est):
@@ -346,7 +359,7 @@ class _ResolventSolver:
         g = b.diagonal() / p
         rhs = np.zeros(n + 1, dtype=complex)
         rhs[:-1] = bt.sum(axis=0) - bt.sum(axis=1) + g * (1.0 + self._w_p) - p * (g @ w)
-        r = lu_solve(self._lu, rhs, check_finite=False)[:-1]
+        r = lu_solve(self._lu, rhs)[:-1]
         x = bt - w * (np.outer(p, r) + np.outer(g - r, p))
         x[np.diag_indices(n)] = r - x.sum(axis=0)       # x_jj is still 0 here
         return x.ravel()

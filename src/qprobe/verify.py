@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from .closedform import ring_nbar_exp, ring_nsq_exp, ring_tsq_exp, tls_stats
+from .errors import QprobeError
 from .intervals import ExponentialInterval, FixedInterval, GammaInterval
 from .model import QuantumModel, build_ring, build_two_level, spectral_reduce
 from .superop import (PINV_RTOL, SuperoperatorSet, build_superops, detection_stats,
@@ -31,6 +31,7 @@ def stroboscopic_fn_direct(model: QuantumModel, tau0: float, n_max: int) -> np.n
     oracle for the averaged series when the interval density is a point
     mass.
     """
+    from scipy.linalg import expm             # imported here: see superop.lu_factor
     u = expm(-1j * tau0 * model.hamiltonian)
     phi = u @ model.psi_in
     out = np.empty(n_max)
@@ -253,7 +254,11 @@ CHECKS = [
 
 
 def run_verify(level: str = "quick", out=print) -> bool:
-    """Run the verification suite; returns True when everything passes."""
+    """Run the verification suite; returns True when everything passes.
+
+    A check fails on an AssertionError or a QprobeError; either way it is
+    reported by name and the checks after it still run.
+    """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     wanted = ("quick",) if level == "quick" else ("quick", "full")
@@ -267,6 +272,9 @@ def run_verify(level: str = "quick", out=print) -> bool:
         except AssertionError as exc:
             all_ok = False
             out(f"FAIL {name}: {exc}")
+        except QprobeError as exc:        # a solve or census that failed loudly
+            all_ok = False
+            out(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
             out(f"PASS {name} ({time.perf_counter() - start:.2f}s)")
     return all_ok

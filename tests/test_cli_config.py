@@ -8,13 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from qprobe import cli
+from qprobe import cli, verify
 from qprobe.config import (distribution_from_config, merge_overrides,
                            model_from_config, parse_kv_text, seed_from_config)
-from qprobe.errors import ConfigError
+from qprobe.errors import ConfigError, ConvergenceError, IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_ring, spectral_reduce
-from qprobe.superop import build_superops, fn_series
+from qprobe.superop import (build_superops, detection_stats, fn_series,
+                            universal_identity_check)
 
 TLS_DENSE = """\
 # symmetric two-level model, single-bond coupling 1
@@ -98,6 +99,24 @@ def test_cli_stats_l24(capsys):
                                  "t_var", "condition", "reduced_dim"}
     assert doc["diagnostics"]["backend"] == "structured"
     assert 0 <= doc["diagnostics"]["residual"] < 1e-13
+
+
+@pytest.mark.parametrize("flags, dist", [
+    (["--dist", "fixed", "--tau", "0.7"], FixedInterval(0.7)),
+    (["--dist", "exp", "--mean", "0.6"], ExponentialInterval(0.6)),
+    (["--dist", "gamma", "--alpha", "5", "--mean", "0.6"], GammaInterval(5.0, 0.6)),
+])
+def test_cli_stats_diagnostics_report_dim_and_identity_residual(capsys, flags, dist):
+    rc = cli.main(["stats", "--L", "9", "--gamma", "1", "--xin", "2", "--xd", "0", *flags])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    diag = doc["diagnostics"]
+    assert set(diag) == {"backend", "residual", "dim", "identity_residual"}
+    assert diag["dim"] == 9 and doc["reduced_dim"] == 5
+    assert diag["identity_residual"] <= 1e-8 * max(1.0, doc["stats"]["t_sq"])
+    report = universal_identity_check(
+        build_superops(spectral_reduce(build_ring(9, 1.0, 2, 0)), dist), dist)
+    assert diag["identity_residual"] == report.t_residual
 
 
 def test_cli_stats_return_quantization(capsys):
@@ -198,6 +217,55 @@ def test_cli_sweep_flags_exceptional_fixed_interval(capsys):
     assert status[0] == "ok" and status[2] == "ok"
     assert status[1].startswith("ill-conditioned")
     assert rows[2][1] == ""     # no fabricated value on the flagged row
+
+
+EXCEPTIONAL_GRID = [1.0, 1.6526270926756665, 2.0]     # the middle point is ill-conditioned
+
+
+def _sweep_reference():
+    """Per point: the stats (None where ill-conditioned) and the condition."""
+    sd = spectral_reduce(build_ring(7, 1.0, 1, 0))
+    ref = []
+    for tau in EXCEPTIONAL_GRID:
+        dist = FixedInterval(tau)
+        try:
+            st = detection_stats(build_superops(sd, dist), dist)
+        except IllConditionedError as exc:
+            ref.append((tau, None, exc.condition))
+        else:
+            ref.append((tau, st, st.condition))
+    return ref
+
+
+def test_cli_sweep_json_rows_carry_condition(capsys):
+    argv = ["sweep", *RING7, "--dist", "fixed", "--axis", "mean_tau",
+            "--grid", ",".join(map(repr, EXCEPTIONAL_GRID))]
+    assert cli.main([*argv, "--outputs", "n_mean", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    ref = _sweep_reference()
+    assert [r["condition"] for r in rows] == [cond for _, _, cond in ref]
+    assert [r["status"] == "ok" for r in rows] == [st is not None for _, st, _ in ref]
+    assert rows[1]["condition"] > 1e12
+    # no detection_stats on a lambda_max-only sweep, so no condition either
+    assert cli.main([*argv, "--outputs", "lambda_max", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all("condition" not in r and r["status"] == "ok" for r in rows)
+
+
+def test_cli_sweep_csv_bytes(capsys):
+    # the condition rides on the JSON rows only; the CSV keeps its columns
+    assert cli.main(["sweep", *RING7, "--dist", "fixed", "--axis", "mean_tau",
+                     "--grid", ",".join(map(repr, EXCEPTIONAL_GRID)),
+                     "--outputs", "n_mean,t_mean"]) == 0
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(["mean_tau", "n_mean", "t_mean", "status"])
+    for tau, st, cond in _sweep_reference():
+        if st is None:
+            writer.writerow([repr(tau), "", "", f"ill-conditioned cond~{cond:.3e}"])
+        else:
+            writer.writerow([repr(tau), repr(st.n_mean), repr(st.t_mean), "ok"])
+    assert capsys.readouterr().out == expect.getvalue()
 
 
 def test_cli_sweep_gamma_peaks_grow_with_alpha(capsys):
@@ -333,6 +401,24 @@ def test_cli_verify_quick_in_process(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_verify_names_a_check_that_raises(monkeypatch, capsys):
+    # a QprobeError fails its own check; the checks after it still run
+    def census_fails():
+        raise ConvergenceError("shift-invert Arnoldi did not converge at Nr=21")
+
+    checks = list(verify.CHECKS)
+    at = [name for name, _, _ in checks].index("zero-mode-census")
+    checks[at] = ("zero-mode-census", "quick", census_fails)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    quick = [name for name, tier, _ in verify.CHECKS if tier == "quick"]
+    assert [line.split()[1].rstrip(":") for line in lines] == quick
+    assert lines[at] == ("FAIL zero-mode-census: ConvergenceError: "
+                         "shift-invert Arnoldi did not converge at Nr=21")
+    assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != at)
 
 
 RING7 = ["--L", "7", "--gamma", "1", "--xin", "1", "--xd", "0"]

@@ -1,0 +1,64 @@
+"""Start-up tests: what a fresh ``qprobe`` process imports.
+
+``fn``, ``mc``, ``--help`` and input errors run on numpy alone; scipy is
+imported at the first factorization (``stats``, ``sweep``, ``verify``).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qprobe import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+RING = ["--L", "7", "--gamma", "1", "--xin", "1", "--xd", "0", "--dist", "exp",
+        "--mean", "0.6"]
+
+NO_SOLVE = f"""
+import contextlib, io, json, sys
+import qprobe
+from qprobe import cli
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes.append(cli.main(["mc", *{RING!r}, "--nreal", "200", "--seed", "1",
+                           "--n-abort", "100"]))
+    codes.append(cli.main(["mc", *{RING!r}, "--mode", "per_realization", "--nreal", "200",
+                           "--ncut", "20"]))
+    codes.append(cli.main(["fn", *{RING!r}, "--nmax", "20"]))
+    codes.append(cli.main(["stats", "--L", "7"]))          # no sites: a config error
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({{"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+"""
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+
+
+def test_commands_without_a_solve_never_import_scipy():
+    proc = _fresh_python("-c", NO_SOLVE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 2, 0], "scipy": []}
+
+
+def test_stats_in_a_fresh_process_matches_in_process(capsys):
+    # Nr = 13 > 12: the first solve imports scipy.linalg, the census
+    # scipy.sparse.linalg
+    argv = ["stats", "--L", "24", "--gamma", "1", "--xin", "12", "--xd", "0",
+            "--dist", "gamma", "--alpha", "5", "--mean", "0.6"]
+    proc = _fresh_python("-m", "qprobe.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    in_process = json.loads(capsys.readouterr().out)
+    assert in_process["zero_modes"]["structural"] is True
+    assert json.loads(proc.stdout) == in_process

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qprobe import cli, superop
+from qprobe import cli
 from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                            IllConditionedError, MomentOverflowError)
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
@@ -569,20 +569,6 @@ def test_structured_forward_and_adjoint_solves_match_dense(model_name):
             assert err <= 2e-16 * solver.condition, (dist_name, solve.__name__, err)
 
 
-@pytest.fixture
-def lu_factor_calls(monkeypatch):
-    """The list of matrices passed to superop.lu_factor while the test runs."""
-    calls = []
-    factor = superop.lu_factor
-
-    def counting(a, *args, **kwargs):
-        calls.append(a)
-        return factor(a, *args, **kwargs)
-
-    monkeypatch.setattr(superop, "lu_factor", counting)
-    return calls
-
-
 def test_one_bordered_factorization_per_superoperator_set(capsys, lu_factor_calls):
     # the moments, the adjoint solves of the condition estimate and the
     # census share the factor a set builds on first use
@@ -603,6 +589,18 @@ def test_one_bordered_factorization_per_superoperator_set(capsys, lu_factor_call
     zero_mode_census(sset)
     universal_identity_check(sset, dist)
     assert len(lu_factor_calls) == 1
+
+
+@pytest.mark.parametrize("L, x_in, factors", [(9, 2, 0), (24, 12, 2)])
+def test_lambda_max_sweep_factors_only_for_the_census(capsys, lu_factor_calls,
+                                                      L, x_in, factors):
+    # Nr = 5 takes the dense census and factors nothing; Nr = 13 factors once
+    # a point for the shift-invert census and nothing for a condition
+    assert cli.main(["sweep", "--L", str(L), "--gamma", "1", "--xin", str(x_in),
+                     "--xd", "0", "--dist", "exp", "--axis", "mean_tau",
+                     "--grid", "0.5,0.6", "--outputs", "lambda_max"]) == 0
+    assert "ill-conditioned" not in capsys.readouterr().out
+    assert len(lu_factor_calls) == factors
 
 
 def test_singular_full_space_raises_without_pseudo_inverse():
