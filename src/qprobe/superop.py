@@ -253,7 +253,8 @@ def _resolvent_norm1(sset: SuperoperatorSet) -> float:
 # scipy.linalg is imported at the first factorization, not with the module:
 # it doubles the start-up time of commands that never solve (fn, mc)
 def lu_factor(a: np.ndarray):
-    """LU factors of the square matrix ``a`` (``scipy.linalg.lu_factor``)."""
+    """LU factors of the square matrix ``a`` (``scipy.linalg.lu_factor``,
+    without its finiteness check: callers pass finite matrices)."""
     from scipy.linalg import lu_factor as factor
     return factor(a, check_finite=False)
 
