@@ -13,7 +13,7 @@ closed-form divergence, an eigenvalue iteration that fails its check),
 memory budget and on a moment that overflows a double (an interval
 scale too large for the model).
 Every input is checked, and --out created, before the computation.
-The environment variable QPROBE_THREADS caps sweep parallelism.
+Sweeps run serially; a non-integer QPROBE_THREADS is a configuration error.
 """
 
 from __future__ import annotations
@@ -32,19 +32,19 @@ from . import config as cfgmod
 from .errors import (ConfigError, ConvergenceError, DivergenceError, IllConditionedError,
                      QprobeError)
 from .model import DEFAULT_DEGENERACY_TOL, spectral_reduce
-from .superop import build_superops, detection_stats, fn_series, zero_mode_census
+from .superop import (DENSE_MAX_BYTES, build_superops, detection_stats, fn_series,
+                      zero_mode_census)
 from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
 from .verify import run_verify
 
 SWEEP_OUTPUTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq", "lambda_max")
 
 
-def _max_workers() -> int:
+def _check_threads_env() -> None:
+    """Reject a non-integer QPROBE_THREADS; sweeps run serially, within any cap."""
     raw = os.environ.get("QPROBE_THREADS", "").strip()
-    if not raw:
-        return 1
     try:
-        return max(1, int(raw))
+        int(raw or 0)
     except ValueError:
         raise ConfigError(f"QPROBE_THREADS must be an integer, got {raw!r}") from None
 
@@ -83,6 +83,14 @@ def _positive(flag: str, value):
     if not 0 < value < np.inf:
         raise ConfigError(f"{flag} must be positive and finite, got {value}")
     return value
+
+
+def _array_length(flag: str, n: int) -> int:
+    """Reject a count whose float64 array would exceed DENSE_MAX_BYTES."""
+    if 8 * n > DENSE_MAX_BYTES:
+        raise ConfigError(f"{flag} must be at most {DENSE_MAX_BYTES // 8} (a float64 array "
+                          f"within the {DENSE_MAX_BYTES}-byte budget), got {n}")
+    return n
 
 
 def _reduce_from_args(args, cfg):
@@ -149,7 +157,7 @@ def cmd_fn(args) -> int:
     cfg = _merged_config(args)
     sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
-    nmax = _positive("--nmax", args.nmax)
+    nmax = _array_length("--nmax", _positive("--nmax", args.nmax))
     with _opened_out(args.out) as fh:
         series = fn_series(build_superops(sd, dist), nmax)
         series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
@@ -158,15 +166,13 @@ def cmd_fn(args) -> int:
     return 0
 
 
-def run_sweep(sd, axis: str, points, outputs, workers: int,
-              pseudo_inverse: bool) -> list[dict]:
+def run_sweep(sd, axis: str, points, outputs, pseudo_inverse: bool) -> list[dict]:
     """Evaluate every (grid value, interval law) point in order;
     ill-conditioned points are flagged in-row.  Rows whose point ran
     ``detection_stats`` (every row unless ``outputs`` is only lambda_max)
     also carry its ``condition``, which the CSV does not show."""
-
-    def one(point) -> dict:
-        value, dist = point
+    rows = []
+    for value, dist in points:
         row = {axis: value}
         try:
             sset = build_superops(sd, dist)
@@ -186,13 +192,8 @@ def run_sweep(sd, axis: str, points, outputs, workers: int,
                 row[name] = ""
             row["status"] = f"ill-conditioned cond~{exc.condition:.3e}"
             row["condition"] = exc.condition
-        return row
-
-    if workers == 1:
-        return [one(p) for p in points]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, points))
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -217,9 +218,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("alpha axis requires dist=gamma")
     key = "alpha" if args.axis == "alpha" else "tau" if cfg.get("dist") == "fixed" else "mean"
     points = [(v, cfgmod.distribution_from_config({**cfg, key: str(v)})) for v in grid]
-    workers = _max_workers()
+    _check_threads_env()
     with _opened_out(args.out) as fh:
-        rows = run_sweep(sd, args.axis, points, outputs, workers, args.pseudo_inverse)
+        rows = run_sweep(sd, args.axis, points, outputs, args.pseudo_inverse)
         _emit(fh, args.format, {"config": cfg, "rows": rows},
               [args.axis, *outputs, "status"],
               ([repr(float(row[args.axis])),
@@ -239,6 +240,8 @@ def cmd_mc(args) -> int:
         n_abort = _positive("--n-abort", args.n_abort)
     elif args.ncut < 2:
         raise ConfigError(f"--ncut must be >= 2, got {args.ncut}")
+    else:
+        _array_length("--ncut", args.ncut)
     with _opened_out(args.out) as fh:
         start = time.perf_counter()
         if bernoulli:

@@ -57,7 +57,8 @@ class IntervalDistribution(ABC):
 
     @abstractmethod
     def config_items(self) -> dict:
-        """Flat key-value description, echoed back in CLI summaries."""
+        """Flat key-value description of the law, in the config keys
+        (``dist`` plus ``tau``, ``mean`` or ``alpha``) that rebuild it."""
 
 
 def _check_scale(what: str, value: float) -> None:

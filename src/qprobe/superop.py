@@ -432,10 +432,20 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     f1 = solver.solve(src)                # geometric sum of the series
     p_det = float(f1.sum().real)
     if p_det < PDET_FLOOR:
+        p = sset.p_detect                 # zero on dark clusters of a raw spectrum
+        q = np.divide(sset.source_vec.real[::sset.dim + 1], p, out=np.zeros_like(p),
+                      where=p > 0)
+        bright_weight = float(q.sum())
+        if bright_weight < PDET_FLOOR:
+            raise DegenerateProblemError(
+                "detection probability vanishes: the initial state has no overlap "
+                "with the bright subspace, so conditional moments are undefined")
+        pairs = _exceptional_pairs(sset, cond_limit)
         raise DegenerateProblemError(
-            "detection probability vanishes: the initial state has no overlap "
-            "with the bright subspace, so conditional moments are undefined"
-        )
+            f"detection probability vanishes although the bright weight is "
+            f"{bright_weight:.6g}: the interval law is exceptional for this spectrum "
+            f"(charfn near 1 on {len(pairs)} energy pairs), so probing freezes the "
+            f"evolution and conditional moments are undefined")
     residual = np.linalg.norm(src - f1 + sset.phase_avg * sset.survive(f1))
     f2 = solver.solve(f1)                 # n-weighted sum
     f3 = solver.solve(f2)                 # enters the n^2-weighted sum

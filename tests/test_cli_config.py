@@ -330,6 +330,18 @@ def test_cli_sweep_threads_env_same_result(capsys, monkeypatch):
     assert serial == threaded
 
 
+def test_cli_sweep_non_integer_threads_env_exits_before_out(tmp_path, capsys, monkeypatch,
+                                                           no_compute):
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("QPROBE_THREADS", "abc")
+    rc = cli.main(["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau",
+                   "--grid", "0.4,0.6", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: QPROBE_THREADS must be an integer, got 'abc'\n")
+    assert not out.exists()
+
+
 def test_cli_mc_deterministic_files(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["mc", "--L", "5", "--gamma", "1", "--xin", "1", "--xd", "0",
@@ -469,6 +481,22 @@ def test_cli_invalid_argument_exits_two(capsys, argv):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "10000000000000"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5",
+     "--mode", "per_realization", "--ncut", "10000000000000"],
+], ids=["fn-nmax", "mc-ncut"])
+def test_cli_oversized_count_exits_two_before_out(tmp_path, capsys, argv):
+    # one float64 array of 10^13 entries is far over the 1 GiB budget
+    out = tmp_path / "x.csv"
+    rc = cli.main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     # <tau^2> is finite, but t_sq overflows a double inside the solve
@@ -535,6 +563,25 @@ def test_cli_mc_dark_initial_state_exits_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: detection probability vanishes") and err.count("\n") == 1
+
+
+def test_cli_stats_vanishing_pdet_names_its_cause(tmp_path, capsys):
+    # tau = pi on ring 4: every phase exp(-i E tau) is 1, so U(tau) = I
+    rc = cli.main(["stats", "--L", "4", "--gamma", "1", "--xin", "1", "--xd", "0",
+                   "--dist", "fixed", "--tau", "3.141592653589793", "--pseudo-inverse"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: detection probability vanishes although the bright "
+                          "weight is 0.5: the interval law is exceptional")
+    assert err.count("\n") == 1
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(DARK_RING4)
+    rc = cli.main(["stats", "--model", str(cfg), "--dist", "exp", "--mean", "0.6"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: detection probability vanishes: the initial state has "
+                          "no overlap with the bright subspace")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("keys, expect", [

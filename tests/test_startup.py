@@ -38,6 +38,29 @@ print(json.dumps({{"codes": codes, "scipy": sorted(
 """
 
 
+# a lambda_max-only sweep at Nr = 4 runs the dense census and no factorization,
+# so scipy, whose numpy.testing import loads concurrent.futures, stays out
+SWEEP_THREADS = f"""
+import contextlib, io, json, os, sys, threading
+from qprobe import cli
+
+argv = ["sweep", *{RING[:10]!r}, "--axis", "mean_tau", "--grid", "0.4,0.6,0.8,1.0",
+        "--outputs", "lambda_max"]
+csv = []
+for threads in ("4", None):
+    if threads:
+        os.environ["QPROBE_THREADS"] = threads
+    else:
+        os.environ.pop("QPROBE_THREADS", None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    csv.append([code, out.getvalue()])
+print(json.dumps({{"csv": csv, "futures": "concurrent.futures" in sys.modules,
+                  "threads": threading.active_count()}}))
+"""
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -62,3 +85,14 @@ def test_stats_in_a_fresh_process_matches_in_process(capsys):
     in_process = json.loads(capsys.readouterr().out)
     assert in_process["zero_modes"]["structural"] is True
     assert json.loads(proc.stdout) == in_process
+
+
+def test_sweep_runs_serially_whatever_qprobe_threads_says():
+    proc = _fresh_python("-c", SWEEP_THREADS)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    (code4, csv4), (code, csv_unset) = doc["csv"]
+    assert code4 == code == 0
+    assert csv4 == csv_unset and csv4.count("\n") == 5
+    assert doc["futures"] is False
+    assert doc["threads"] == 1

@@ -316,8 +316,18 @@ def test_entirely_dark_initial_state_raises():
     model = build_dense(build_ring(4, 1.0, 0, 0).hamiltonian, psi_in, [1, 0, 0, 0])
     dist = ExponentialInterval(0.6)
     sset = build_superops(spectral_reduce(model), dist)
-    with pytest.raises(DegenerateProblemError):
+    with pytest.raises(DegenerateProblemError, match="no overlap with the bright subspace"):
         detection_stats(sset, dist)
+
+
+def test_vanishing_pdet_with_bright_weight_names_the_exceptional_interval():
+    # bright weight 1/2, but tau = pi makes every phase exp(-i E tau) on ring 4 equal 1
+    dist = FixedInterval(np.pi)
+    sd = spectral_reduce(build_ring(4, 1.0, 1, 0))
+    assert sd.p_init.sum() == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(DegenerateProblemError,
+                       match=r"bright weight is 0\.5: the interval law is exceptional"):
+        detection_stats(build_superops(sd, dist), dist, pseudo_inverse=True)
 
 
 def test_stats_invariant_under_eigenbasis_rephasing():
