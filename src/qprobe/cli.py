@@ -31,9 +31,8 @@ import numpy as np
 from . import config as cfgmod
 from .errors import (ConfigError, ConvergenceError, DivergenceError, IllConditionedError,
                      QprobeError)
-from .model import DEFAULT_DEGENERACY_TOL, spectral_reduce
-from .superop import (DENSE_MAX_BYTES, build_superops, detection_stats, fn_series,
-                      zero_mode_census)
+from .model import DEFAULT_DEGENERACY_TOL, DENSE_MAX_BYTES, spectral_reduce
+from .superop import build_superops, detection_stats, fn_series, zero_mode_census
 from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
 from .verify import run_verify
 
@@ -234,7 +233,8 @@ def cmd_mc(args) -> int:
     model = cfgmod.model_from_config(cfg)
     dist = cfgmod.distribution_from_config(cfg)
     seed = cfgmod.seed_from_config(cfg, default=0)
-    n_real = _positive("--nreal", args.nreal)
+    # every run keeps at least one float64 per realization
+    n_real = _array_length("--nreal", _positive("--nreal", args.nreal))
     bernoulli = args.mode == "bernoulli"
     if bernoulli:
         n_abort = _positive("--n-abort", args.n_abort)

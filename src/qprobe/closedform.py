@@ -96,7 +96,11 @@ def ring_nsq_exp(L: int, x_d: int, gamma: float, mean_tau: float) -> float:
     """Conditional mean squared attempt number, exponential intervals."""
     case = classify_ring_case(L, x_d)
     _warn_if_conjectural(case)
-    x, g, mu = case.x_d, gamma, mean_tau
+    return _ring_nsq(case, gamma, mean_tau)
+
+
+def _ring_nsq(case: RingCase, g: float, mu: float) -> float:
+    L, x = case.L, case.x_d
     if case.tag is RingCaseTag.ODD_RETURN:
         return (L * (L + 1) * (L - 1) / (48 * g**2 * mu**2)
                 + (2 * L**2 + 3 * L - 1) / 4)
@@ -127,7 +131,7 @@ def ring_tsq_exp(L: int, x_d: int, gamma: float, mean_tau: float) -> float:
     x, g, mu = case.x_d, gamma, mean_tau
     if case.tag in (RingCaseTag.ODD_RETURN, RingCaseTag.EVEN_RETURN):
         n_r = L // 2 + 1
-        return mu**2 * ring_nsq_exp(L, 0, gamma, mean_tau) + n_r * mu**2
+        return mu**2 * _ring_nsq(case, g, mu) + n_r * mu**2
     if case.tag is RingCaseTag.ODD_ARRIVAL:
         return (L * x * (L - x) * (x * (L - x) + 2) / (192 * g**4 * mu**2)
                 + (L**3 + 2 * x * (L - x) * (L + 1) - L) / (32 * g**2)

@@ -15,6 +15,7 @@ cross amplitudes that carry the interference between them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ NORM_TOL = 1e-12
 DEFAULT_DEGENERACY_TOL = 1e-9
 DEFAULT_DARK_TOL = 1e-12
 PDET_FLOOR = 1e-14          # detection probability treated as zero
+DENSE_MAX_BYTES = 1 << 30   # one complex array: a ring with L <= 8192, a pair space Nr <= 90
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -84,10 +86,15 @@ def build_ring(L: int, gamma: float, x_in: int, x_d: int) -> QuantumModel:
 
     H = -gamma * sum_k (|k><k-1| + |k><k+1|), so the spectrum is the set
     {-2*gamma*cos(2*pi*k/L)}.  For L = 2 both neighbor terms connect the
-    same pair of sites and the effective hopping doubles.
+    same pair of sites and the effective hopping doubles.  Rings whose
+    complex H would take more than DENSE_MAX_BYTES are refused.
     """
     if L < 2:
         raise InvalidModelError(f"ring needs at least 2 sites, got L={L}")
+    if 16 * L * L > DENSE_MAX_BYTES:
+        raise InvalidModelError(f"a ring of L={L} sites needs a {16 * L * L}-byte Hamiltonian, "
+                                f"over the {DENSE_MAX_BYTES}-byte budget "
+                                f"(L <= {math.isqrt(DENSE_MAX_BYTES // 16)})")
     if not gamma > 0:
         raise InvalidModelError(f"hopping strength must be positive, got {gamma}")
     h = np.zeros((L, L), dtype=complex)

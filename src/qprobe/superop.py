@@ -28,18 +28,17 @@ factored in O(Nr^3) and solved in O(Nr^2).  A superoperator set factors
 it at most once: the moments, the adjoint solves (by the similarity
 S^T = diag(p)^-1 S diag(p), with no second factor), the condition gate
 (an exact 1-norm times a Hager-Higham estimate of the inverse 1-norm)
-and the zero-mode census all share that one solver.  The census finds
-the slowest decay rate, the Perron root of the transfer map and its
-eigenvalue nearest 1, by shift-invert Arnoldi at 1.  The Nr^2 x Nr^2
-matrices are formed only for the opt-in pseudo-inverse, the census of
-small sets (Nr <= 12) and the dense test oracles, and never above a
-1 GiB budget.
+and the zero-mode census all share that one solver, the only pair-space
+operator applied.  The census finds the slowest decay rate, the Perron
+root of the transfer map and its eigenvalue nearest 1, as 1 + 1/nu for
+the dominant eigenvalue nu of -J^-1.  The Nr^2 x Nr^2 matrices are formed
+only for the opt-in pseudo-inverse, the census of small sets (Nr <= 12)
+and the dense test oracles, and never above a 1 GiB budget.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -48,14 +47,28 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                      IllConditionedError, MomentOverflowError)
 from .intervals import IntervalDistribution
-from .model import PDET_FLOOR, SpectralData
+from .model import DENSE_MAX_BYTES, PDET_FLOOR, SpectralData
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_ZERO_TOL = 1e-8
 PINV_RTOL = 1e-10
 EXCEPTIONAL_COND_SCALE = 1e4
-DENSE_MAX_BYTES = 1 << 30          # one complex Nr^4 array: Nr <= 90
 DENSE_CENSUS_MAX_DIM = 12          # dense eigvals up to a 144^2 transfer matrix
+NORM1_ITMAX = 5                    # zlacn2's ITMAX: solve pairs of the 1-norm estimate
+
+
+def _survive(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S X S^T = X - p r^T - (c - s p) p^T for S = I - p 1^T, on an Nr x Nr
+    matrix X with column sums r, row sums c and total s."""
+    r = x.sum(axis=0)
+    c = x.sum(axis=1)
+    return x - np.outer(p, r) - np.outer(c - r.sum() * p, p)
+
+
+def _dense_survival(p: np.ndarray) -> np.ndarray:
+    """S = I - p 1^T as a dense Nr x Nr matrix."""
+    n = len(p)
+    return np.eye(n) - np.outer(p, np.ones(n))
 
 
 @dataclass(frozen=True)
@@ -94,23 +107,13 @@ class SuperoperatorSet:
             object.__setattr__(self, name, arr)
 
     def survive(self, v: np.ndarray) -> np.ndarray:
-        """(S (x) S) v, computed as S X S^T = X - p r^T - (c - s p) p^T.
-
-        X is v reshaped to Nr x Nr, r its column sums, c its row sums and
-        s its total.
-        """
-        p = self.p_detect
-        x = v.reshape(self.dim, self.dim)
-        r = x.sum(axis=0)
-        c = x.sum(axis=1)
-        return (x - np.outer(p, r) - np.outer(c - r.sum() * p, p)).ravel()
+        """(S (x) S) v for a flat pair vector v, as S X S^T on X = v
+        reshaped to Nr x Nr."""
+        return _survive(self.p_detect, v.reshape(self.dim, self.dim)).ravel()
 
     @cached_property
     def _solver(self) -> _ResolventSolver:
-        return _ResolventSolver(self)
-
-    def _surv(self) -> np.ndarray:
-        return np.eye(self.dim) - np.outer(self.p_detect, np.ones(self.dim))
+        return _ResolventSolver(self.p_detect, self.phase_avg.reshape(self.dim, self.dim))
 
     def _check_dense_budget(self) -> None:
         """Raise DenseSizeError when one complex Nr^2 x Nr^2 array would
@@ -124,7 +127,7 @@ class SuperoperatorSet:
     @property
     def proj_kron(self) -> np.ndarray:
         self._check_dense_budget()
-        surv = self._surv()
+        surv = _dense_survival(self.p_detect)
         return np.kron(surv, surv)
 
     @property
@@ -132,7 +135,7 @@ class SuperoperatorSet:
         """diag(phase_avg) @ proj_kron in Fortran order: the transpose is
         built complex and scaled in place, so no other Nr^4 array is made."""
         self._check_dense_budget()
-        surv_t = np.ascontiguousarray(self._surv().T, dtype=complex)
+        surv_t = np.ascontiguousarray(_dense_survival(self.p_detect).T, dtype=complex)
         t = np.kron(surv_t, surv_t)
         t *= self.phase_avg
         return t.T
@@ -237,13 +240,11 @@ def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
     return out
 
 
-def _resolvent_norm1(sset: SuperoperatorSet) -> float:
+def _resolvent_norm1(p: np.ndarray, phi: np.ndarray) -> float:
     """||J||_1 exactly in O(Nr^3): the column (l, m) of J = I - diag(phi)
     (S (x) S) sums to (|S|^T |phi| |S|)_lm - |t_lm| + |1 - t_lm|, where
     t_lm = phi_lm S_ll S_mm is its diagonal entry of the transfer matrix."""
-    n = sset.dim
-    surv = sset._surv()
-    phi = sset.phase_avg.reshape(n, n)
+    surv = _dense_survival(p)
     t = phi * np.outer(surv.diagonal(), surv.diagonal())
     a = np.abs(surv)
     cols = a.T @ np.abs(phi) @ a - np.abs(t) + np.abs(1.0 - t)
@@ -272,11 +273,11 @@ def _unit(y: np.ndarray) -> np.ndarray:
     return np.where(tiny, 1.0, y / np.where(tiny, 1.0, mag))
 
 
-def _inverse_norm1_estimate(solve, solve_adjoint, n: int, itmax: int = 5) -> float:
+def _inverse_norm1_estimate(solve, solve_adjoint, n: int) -> float:
     """Lower bound on ||A^-1||_1 from solves with A and A^H.
 
     The Hager-Higham iteration with one column (Higham, ACM TOMS 14, 1988)
-    as LAPACK's zlacn2 runs it: at most ``itmax`` solve pairs plus one
+    as LAPACK's zlacn2 runs it: at most NORM1_ITMAX solve pairs plus one
     solve with the alternating-sign vector, deterministic.  Unlike zlacn2,
     the estimate never drops below a value already found.
     """
@@ -285,7 +286,7 @@ def _inverse_norm1_estimate(solve, solve_adjoint, n: int, itmax: int = 5) -> flo
     if n == 1:
         return float(est)
     j = int(np.argmax(np.abs(solve_adjoint(_unit(y)))))
-    for _ in range(itmax - 1):
+    for _ in range(NORM1_ITMAX - 1):
         e = np.zeros(n)
         e[j] = 1.0
         y = solve(e)
@@ -323,16 +324,14 @@ class _ResolventSolver:
     Hager-Higham estimate of ||J^-1||_1; it is inf when the estimate is not
     finite or the bordered system cannot be formed (some phi_jk = 1 off the
     diagonal, or some p_j = 0), and in that last case nothing is factored.
+    It holds no reference to the set that caches it, so they form no cycle.
     """
 
     backend = "structured"
 
-    def __init__(self, sset: SuperoperatorSet):
-        # weak: the set caches this solver, and a cycle would keep every
-        # dead set alive until the cyclic garbage collector runs
-        self._sset = weakref.proxy(sset)
-        n, p = sset.dim, sset.p_detect
-        phi = sset.phase_avg.reshape(n, n)
+    def __init__(self, p: np.ndarray, phi: np.ndarray):
+        n = len(p)
+        self._n, self._p = n, p
         m = np.empty((n + 1, n + 1), dtype=complex)
         with np.errstate(all="ignore"):           # a pole 1 - phi_jk = 0 gives inf
             self._inv_gap = 1.0 / (1.0 - phi)
@@ -347,14 +346,15 @@ class _ResolventSolver:
         self.condition = np.inf
         if np.isfinite(m).all() and np.all(p != 0):
             self._q = np.outer(p, p).ravel()
+            self._phi_q = phi.ravel() * self._q
             self._lu = lu_factor(m)
             with np.errstate(all="ignore"):
                 est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
             if np.isfinite(est):
-                self.condition = _resolvent_norm1(sset) * est
+                self.condition = _resolvent_norm1(p, phi) * est
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n, p, w = self._sset.dim, self._sset.p_detect, self._w
+        n, p, w = self._n, self._p, self._w
         b = b.reshape(n, n)
         bt = b * self._inv_gap
         g = b.diagonal() / p
@@ -366,9 +366,8 @@ class _ResolventSolver:
         return x.ravel()
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        sset, q = self._sset, self._q
-        z = sset.survive(self.solve(sset.phase_avg * q * b.conj()))
-        return b + (z / q).conj()
+        x = self.solve(self._phi_q * b.conj()).reshape(self._n, self._n)
+        return b + (_survive(self._p, x).ravel() / self._q).conj()
 
 
 class _PseudoInverseSolver:
@@ -446,13 +445,13 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
             f"{bright_weight:.6g}: the interval law is exceptional for this spectrum "
             f"(charfn near 1 on {len(pairs)} energy pairs), so probing freezes the "
             f"evolution and conditional moments are undefined")
-    residual = np.linalg.norm(src - f1 + sset.phase_avg * sset.survive(f1))
+    surv_f1 = sset.survive(f1)
+    residual = np.linalg.norm(src - f1 + sset.phase_avg * surv_f1)
     f2 = solver.solve(f1)                 # n-weighted sum
     f3 = solver.solve(f2)                 # enters the n^2-weighted sum
     n_mean = float(f2.sum().real) / p_det
     n_sq = float((2.0 * f3.sum() - f2.sum()).real) / p_det
 
-    surv_f1 = sset.survive(f1)
     with np.errstate(over="ignore", invalid="ignore"):    # checked below
         g = solver.solve(sset.phase_avg_t * (surv_f1 + sset.source_vec))
         t_mean = float(g.sum().real) / p_det
@@ -492,13 +491,14 @@ def zero_mode_census(sset: SuperoperatorSet,
 
     Up to ``DENSE_CENSUS_MAX_DIM``, or when the structured solve cannot be
     formed, dense ``eigvals`` of T counts the eigenvalues with |lam| <
-    ``tol`` as zero modes.  Above it, shift-invert Arnoldi at sigma = 1
-    finds rho with OPinv = (T - I)^-1 = -J^-1, the O(Nr^2) structured
-    solve, and ``n_zero`` is the structural 2 Nr - 1: the nullity of T,
-    since rank(S (x) S) = (Nr - 1)^2 and no interval law gives phi = 0.
-    ``tol`` does not apply on that branch.  Raises ConvergenceError when
-    Arnoldi does not converge or its Ritz value nearest 1 is not a real
-    eigenvalue of largest modulus among those returned.
+    ``tol`` as zero modes.  Above it, Arnoldi on (T - I)^-1 = -J^-1, the
+    O(Nr^2) structured solve, finds its dominant eigenvalues nu, and lam =
+    1 + 1/nu (the iteration of ARPACK's shift-invert mode at 1); ``n_zero``
+    is the structural 2 Nr - 1: the nullity of T, since rank(S (x) S) =
+    (Nr - 1)^2 and no interval law gives phi = 0.  ``tol`` does not apply
+    on that branch.  Raises ConvergenceError when Arnoldi does not converge
+    or its Ritz value nearest 1 is not a real eigenvalue of largest modulus
+    among those returned.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -511,16 +511,14 @@ def zero_mode_census(sset: SuperoperatorSet,
 
     # imported here: scipy.sparse.linalg adds ~40 ms to every command's start
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-    m = n * n
-    transfer = LinearOperator((m, m), dtype=complex,
-                              matvec=lambda x: sset.phase_avg * sset.survive(x))
-    shift_inverse = LinearOperator((m, m), dtype=complex,
-                                   matvec=lambda x: -sset._solver.solve(x))
+    m, solve = n * n, sset._solver.solve
+    shift_inverse = LinearOperator((m, m), dtype=complex, matvec=lambda x: -solve(x))
     try:
-        ritz = eigs(transfer, k=3, sigma=1.0, OPinv=shift_inverse,
-                    v0=np.ones(m, dtype=complex), return_eigenvectors=False)
+        nu = eigs(shift_inverse, k=3, v0=np.ones(m, dtype=complex),
+                  return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
+    ritz = 1.0 + 1.0 / nu
     rho = ritz[np.argmin(np.abs(ritz - 1.0))]
     # a peripheral eigenvalue rho e^(i theta) may tie |rho| up to roundoff
     if not (abs(rho.imag) <= 1e-8 * abs(rho) and np.abs(ritz).max() <= abs(rho) * (1 + 1e-10)):

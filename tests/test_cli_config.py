@@ -485,8 +485,12 @@ def test_cli_invalid_argument_exits_two(capsys, argv):
     ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "10000000000000"],
     ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5",
      "--mode", "per_realization", "--ncut", "10000000000000"],
-], ids=["fn-nmax", "mc-ncut"])
-def test_cli_oversized_count_exits_two_before_out(tmp_path, capsys, argv):
+    # every run keeps at least one float64 per realization
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "10000000000000"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "10000000000000",
+     "--mode", "per_realization"],
+], ids=["fn-nmax", "mc-ncut", "mc-nreal-bernoulli", "mc-nreal-per_realization"])
+def test_cli_oversized_count_exits_two_before_out(tmp_path, capsys, no_compute, argv):
     # one float64 array of 10^13 entries is far over the 1 GiB budget
     out = tmp_path / "x.csv"
     rc = cli.main([*argv, "--out", str(out)])
@@ -591,7 +595,9 @@ def test_cli_stats_vanishing_pdet_names_its_cause(tmp_path, capsys):
     ("n=0\nhamiltonian=\n", "config error: dense model needs n >= 1, got 0"),
     ("n=-1\nhamiltonian=0,0\n", "config error: dense model needs n >= 1, got -1"),
     ("hamiltonian=inf,0,-1,0,-1,0,0,0\n", "error: hamiltonian has a non-finite entry"),
-], ids=["x_in=5", "x_in=-1", "x_d=2", "n=0", "n=-1", "H=inf"])
+    ("hamiltonian=0,x,-1,0,-1,0,0,0\n",
+     "config error: key 'hamiltonian' contains a non-numeric entry"),
+], ids=["x_in=5", "x_in=-1", "x_d=2", "n=0", "n=-1", "H=inf", "H=x"])
 def test_cli_dense_bad_size_or_site_exits_two(tmp_path, capsys, keys, expect):
     cfg = tmp_path / "dense.cfg"
     cfg.write_text(TLS_DENSE + keys)       # later keys win
@@ -625,3 +631,67 @@ def test_cli_out_truncated_before_run(tmp_path, capsys):
     assert out.read_text() == "stale\n"          # bad input: --out never opened
     assert cli.main([*base, "--nreal", "100"]) == 2
     assert out.read_text() == ""                 # the run failed after opening it
+
+
+@pytest.mark.parametrize("command", [
+    ["stats"], ["fn", "--nmax", "3"], ["mc", "--nreal", "10"]], ids=["stats", "fn", "mc"])
+def test_cli_ring_over_the_dense_budget_exits_two(monkeypatch, capsys, command):
+    def reached(*args, **kwargs):
+        raise AssertionError("np.zeros reached")
+
+    monkeypatch.setattr(np, "zeros", reached)
+    rc = cli.main([command[0], "--L", "1000000", "--gamma", "1", "--xin", "1", "--xd", "0",
+                   "--dist", "exp", "--mean", "0.6", *command[1:]])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: a ring of L=1000000 sites needs a 16000000000000-byte Hamiltonian, "
+        "over the 1073741824-byte budget (L <= 8192)\n")
+
+
+SWEEP7 = ["sweep", *RING7, "--dist", "exp", "--mean", "0.6", "--axis", "mean_tau"]
+
+
+@pytest.mark.parametrize("argv, expect", [
+    ([*SWEEP7, "--grid", "a,b"], "config error: cannot parse --grid 'a,b'"),
+    ([*SWEEP7, "--grid", ","], "config error: sweep grid is empty"),
+    ([*SWEEP7, "--grid", "0,1"], "config error: sweep grid values must be positive"),
+    ([*SWEEP7, "--grid", "1,2", "--outputs", "foo"],
+     "config error: unknown sweep outputs: ['foo']"),
+], ids=["grid-a,b", "grid-comma", "grid-0,1", "outputs-foo"])
+def test_cli_sweep_bad_grid_or_outputs_exits_two(capsys, no_compute, argv, expect):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == expect + "\n"
+
+
+def test_cli_unreadable_model_file_exits_two(tmp_path, capsys, no_compute):
+    path = tmp_path / "missing.cfg"
+    rc = cli.main(["stats", "--model", str(path), "--dist", "exp", "--mean", "0.6"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {str(path)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_dense_config_without_hamiltonian_exits_two(tmp_path, capsys, no_compute):
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("kind=dense\nn=2\nx_in=0\nx_d=0\n")
+    rc = cli.main(["stats", "--model", str(cfg), "--dist", "exp", "--mean", "0.6"])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: dense model needs the 'hamiltonian' key\n"
+
+
+def test_cli_verify_names_a_check_that_fails_its_assertion(monkeypatch, capsys):
+    # an AssertionError prints its message after the check's name
+    def census_wrong():
+        raise AssertionError("slowest decay 0.5 is not the dense 0.9")
+
+    checks = list(verify.CHECKS)
+    at = [name for name, _, _ in checks].index("zero-mode-census")
+    checks[at] = ("zero-mode-census", "quick", census_wrong)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[at] == "FAIL zero-mode-census: slowest decay 0.5 is not the dense 0.9"
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert err == "" and "Traceback" not in out

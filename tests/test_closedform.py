@@ -1,6 +1,8 @@
 """Closed-form oracle tests: frozen values and cross-checks against the
 exact superoperator computation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -181,6 +183,15 @@ def test_optimal_mean_interval_matches_closed_form():
     res = minimize_scalar(t_mean, bounds=(0.05, 3.0), method="bounded",
                           options={"xatol": 1e-8})
     assert res.x == pytest.approx(mu_star, rel=1e-2)
+
+
+def test_ring_tsq_return_warns_once_at_the_caller():
+    # the return branch goes through the n^2 formula without its own warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ring_tsq_exp(20, 0, 1.0, 0.6)
+    assert [w.filename for w in caught] == [__file__]
+    assert "L=20 is outside the numerically verified range" in str(caught[0].message)
 
 
 def test_conjectural_range_warns():

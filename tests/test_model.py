@@ -42,6 +42,19 @@ def test_ring_rejects_bad_arguments():
         build_ring(5, 1.0, 0, 5)
 
 
+def test_ring_over_the_dense_budget_is_refused_before_allocating(monkeypatch):
+    # a complex L x L Hamiltonian takes 16 L^2 bytes: 1 GiB at L = 8192
+    def reached(*args, **kwargs):
+        raise AssertionError("np.zeros reached")
+
+    monkeypatch.setattr(np, "zeros", reached)
+    with pytest.raises(InvalidModelError, match=r"^a ring of L=1000000 sites needs a "
+                       r"16000000000000-byte Hamiltonian, over the 1073741824-byte budget"):
+        build_ring(10**6, 1.0, 1, 0)
+    with pytest.raises(InvalidModelError, match="L=8193 sites"):
+        build_ring(8193, 1.0, 1, 0)
+
+
 @pytest.mark.parametrize("k", [-1, 2, 5])
 def test_basis_state_rejects_site_out_of_range(k):
     with pytest.raises(InvalidModelError):

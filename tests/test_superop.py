@@ -6,8 +6,10 @@ and the structural constraints (zero modes, Hermiticity pairing, rank-one
 source) that the construction must satisfy for any model.
 """
 
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -255,18 +257,37 @@ def test_zero_mode_census_falls_back_to_dense_when_solve_is_singular():
                                   [0.97 + 0.1j, 0.5, 0.2], [0.99, -1.2, 0.3]])
 def test_zero_mode_census_refuses_unchecked_arnoldi(monkeypatch, ritz):
     # no convergence, and Ritz values whose nearest-to-1 member is not
-    # real or not of largest modulus, raise instead of returning a number
+    # real or not of largest modulus, raise instead of returning a number;
+    # Arnoldi runs on -J^-1, so the fake returns nu = 1/(lam - 1)
     import scipy.sparse.linalg as sla
 
     def fake_eigs(*args, **kwargs):
         if ritz is None:
             raise sla.ArpackNoConvergence("no convergence", np.array([]), None)
-        return np.array(ritz, dtype=complex)
+        return 1.0 / (np.array(ritz, dtype=complex) - 1.0)
 
     monkeypatch.setattr(sla, "eigs", fake_eigs)
     sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), ExponentialInterval(0.6))
     with pytest.raises(ConvergenceError):
         zero_mode_census(sset)
+
+
+def test_solver_keeps_no_reference_to_its_set():
+    # the set caches its solver, so a solver holding the set would make a
+    # cycle that only the cyclic garbage collector frees
+    dist = ExponentialInterval(0.6)
+    sd = spectral_reduce(build_ring(40, 1.0, 20, 0))
+    gc.disable()
+    try:
+        sset = build_superops(sd, dist)
+        assert sset.dim == 21
+        detection_stats(sset, dist)
+        assert zero_mode_census(sset).structural
+        ref = weakref.ref(sset)
+        del sset
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_transfer_refuses_arrays_over_the_dense_budget():
