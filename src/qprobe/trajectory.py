@@ -9,14 +9,20 @@ processed in vectorized chunks.
 
 Both modes share one probe step.  The amplitude is never renormalized,
 so F_n = |<psi_d|c>|**2 is the probability, given the intervals, that
-the first detection happens at probe n.  The step is fused and writes
-no new (m, N) array.  The real phase tau (x) (-w) is written into the
-imaginary view of one reused complex buffer, its cosine into the real
-view and its sine over the phase, which is bitwise the complex exp of
-the purely imaginary phase at about half its cost; the rank-one
-projection is then formed in that same buffer.  Each chunk allocates
-the buffer once, and Bernoulli mode uses its leading rows as
-realizations detect.
+the first detection happens at probe n.  The step walks the realizations
+in row tiles of ``TILE_ELEMS`` amplitudes (1 MB of complex, within L2).
+On a tile it writes the real phase tau (x) (-w) into the imaginary view
+of a tile-sized complex scratch buffer, its cosine into the real view
+and its sine over the phase, which is bitwise the complex exp of the
+purely imaginary phase at about half its cost; it takes the amplitude
+with a row kernel (``einsum``, no BLAS, so no BLAS thread spins between
+tiles) and forms the rank-one projection in the same buffer.  The tiles
+of a step are split into contiguous ranges over the CPUs the process
+may run on (``os.sched_getaffinity``): the calling thread takes one
+range and a per-run thread pool the rest, each worker with its own
+scratch buffer.  A step that fits in one tile runs in the calling thread
+and starts no pool.  Sampling, the sums and the Bernoulli compaction
+stay in the calling thread.
 
 * ``bernoulli`` samples that attempt by inverse transform: one uniform v
   per realization, detection at the first n with F_1 + ... + F_n > v.
@@ -29,11 +35,14 @@ realizations detect.
 Reproducibility: realizations are split into fixed-size chunks and each
 chunk gets its own counter-based generator spawned deterministically from
 the seed, so results are bit-identical for a given seed no matter how
-chunks would be scheduled.
+chunks would be scheduled.  Every operation of the step is elementwise or
+per row, so they are also bit-identical for any worker count or tile
+boundary.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +53,7 @@ from .model import PDET_FLOOR, QuantumModel
 
 DEFAULT_CHUNK = 1 << 15
 DEFAULT_ABORT = 10**6
+TILE_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,8 @@ class TrajectoryEnsemble:
     only) and ``censored``.  Per-realization mode fills ``nbar``/``pdet``
     per realization plus the ensemble mean and standard error of F_n;
     ``fn_records`` holds the full (n_real, n_cut) profile matrix when
-    requested (test-scale runs only).
+    requested (test-scale runs only).  ``threads`` is the number of
+    workers that ran probe tiles (1 when every step fit in one tile).
     """
 
     mode: str
@@ -70,6 +81,7 @@ class TrajectoryEnsemble:
     fn_mean: np.ndarray | None = None
     fn_stderr: np.ndarray | None = None
     fn_records: np.ndarray | None = None
+    threads: int = 1
 
     def attempt_fn_estimate(self, n_max: int):
         """Empirical <F_n> and binomial standard error from bernoulli records.
@@ -111,14 +123,16 @@ class TrajectoryEnsemble:
         else:
             out["n_cut"] = self.n_cut
             out["nbar_mean"] = float(np.mean(self.nbar))
-            out["nbar_var"] = float(np.var(self.nbar, ddof=1))
-            dev = self.nbar - np.mean(self.nbar)
-            out["nbar_stderr"] = float(np.sqrt(out["nbar_var"] / self.n_real))
-            out["nbar_var_stderr"] = float(
-                np.sqrt(max(np.mean(dev**4) - np.var(self.nbar) ** 2, 0.0) / self.n_real)
-            )
+            if self.n_real > 1:
+                out["nbar_var"] = float(np.var(self.nbar, ddof=1))
+                dev = self.nbar - np.mean(self.nbar)
+                out["nbar_stderr"] = float(np.sqrt(out["nbar_var"] / self.n_real))
+                out["nbar_var_stderr"] = float(
+                    np.sqrt(max(np.mean(dev**4) - np.var(self.nbar) ** 2, 0.0) / self.n_real)
+                )
             out["pdet_mean"] = float(np.mean(self.pdet))
         out["probe_steps"] = self.probe_steps
+        out["threads"] = self.threads
         out["censored_reason"] = "n_abort" if self.censored else None
         return out
 
@@ -140,21 +154,76 @@ def _chunk_generators(seed: int, n_real: int, chunk: int):
             for c, m in zip(children, sizes)]
 
 
-def _probe(c, tau, neg_w, coeff_d, e):
+def _workers() -> int:
+    """CPUs this process may run on; ``taskset`` limits them."""
+    return len(os.sched_getaffinity(0))
+
+
+class _Tiles:
+    """The workers of one run and their tile-sized scratch buffers.
+
+    ``run(fn, k)`` covers rows [0, k) with row tiles of ``TILE_ELEMS``
+    amplitudes, split into contiguous ranges over at most ``_workers()``
+    workers; ``fn(lo, hi, scratch)`` walks one range.  The thread pool is
+    made at the first step with more than one tile and shut down when the
+    run leaves the ``with`` block.  ``threads`` is the most workers any
+    step used.
+    """
+
+    def __init__(self, m: int, n: int):
+        self.rows = max(1, TILE_ELEMS // n)
+        self.scratch = [np.empty((min(self.rows, m), n), dtype=complex)
+                        for _ in range(min(_workers(), -(-m // self.rows)))]
+        self.pool = None
+        self.threads = 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def run(self, fn, k: int) -> None:
+        n_tiles = -(-k // self.rows)
+        w = min(len(self.scratch), n_tiles)
+        bounds = [min(k, i * n_tiles // w * self.rows) for i in range(w + 1)]
+        if w > 1 and self.pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self.pool = ThreadPoolExecutor(len(self.scratch) - 1)
+        futures = [self.pool.submit(fn, bounds[i], bounds[i + 1], self.scratch[i])
+                   for i in range(1, w)]
+        fn(bounds[0], bounds[1], self.scratch[0])
+        for fut in futures:
+            fut.result()
+        self.threads = max(self.threads, w)
+
+
+def _probe(c, tau, neg_w, coeff_d, tiles):
     """Evolve row i of ``c`` (eigenbasis amplitudes) for ``tau[i]``, project
     psi_d out in place and return F = |<psi_d|c>|**2 before the projection.
 
-    ``neg_w`` is minus the eigenvalues and ``e`` a complex scratch buffer
-    of the shape of ``c``; the step allocates no array of that shape.
+    ``neg_w`` is minus the eigenvalues; ``tiles`` walks the rows tile by
+    tile, so the step allocates no array of the shape of ``c``.
     """
-    np.multiply(tau[:, None], neg_w, out=e.imag)      # the phase -tau w
-    np.cos(e.imag, out=e.real)
-    np.sin(e.imag, out=e.imag)                        # e = exp(-i tau w)
-    c *= e
-    amp = c @ coeff_d.conj()
-    np.multiply(amp[:, None], coeff_d, out=e)
-    c -= e
-    return np.abs(amp) ** 2
+    f = np.empty(len(c))
+    coeff_dc = coeff_d.conj()
+
+    def walk(lo, hi, e):
+        for a in range(lo, hi, tiles.rows):
+            b = min(a + tiles.rows, hi)
+            ct, et = c[a:b], e[:b - a]
+            np.multiply(tau[a:b, None], neg_w, out=et.imag)      # the phase -tau w
+            np.cos(et.imag, out=et.real)
+            np.sin(et.imag, out=et.imag)                        # e = exp(-i tau w)
+            ct *= et
+            amp = np.einsum("ij,j->i", ct, coeff_dc)
+            np.multiply(amp[:, None], coeff_d, out=et)
+            ct -= et
+            f[a:b] = np.abs(amp) ** 2
+
+    tiles.run(walk, len(c))
+    return f
 
 
 def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
@@ -177,33 +246,32 @@ def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
     neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
     attempts_all, times_all = [], []
     censored = 0
-    for rng, m in _chunk_generators(seed, n_real, chunk):
-        v = rng.random(m)
-        c = np.tile(coeff_in, (m, 1))
-        e = np.empty_like(c)
-        live, cum, t_live = np.arange(m), np.zeros(m), np.zeros(m)
-        attempt, t_acc = np.zeros(m, dtype=np.int64), np.zeros(m)
-        for n in range(1, n_abort + 1):
-            k = len(live)
-            tau = np.atleast_1d(dist.sample(rng, k))
-            t_live += tau
-            cum += _probe(c, tau, neg_w, coeff_d, e[:k])
-            hit = cum > v
-            if not hit.any():
-                continue
-            attempt[live[hit]] = n
-            t_acc[live[hit]] = t_live[hit]
-            keep = ~hit
-            live, c, cum, v, t_live = live[keep], c[keep], cum[keep], v[keep], t_live[keep]
-            if not len(live):
-                break
-        censored += len(live)
-        attempts_all.append(attempt[attempt > 0])
-        times_all.append(t_acc[attempt > 0])
+    with _Tiles(min(chunk, n_real), len(neg_w)) as tiles:
+        for rng, m in _chunk_generators(seed, n_real, chunk):
+            v = rng.random(m)
+            c = np.tile(coeff_in, (m, 1))
+            live, cum, t_live = np.arange(m), np.zeros(m), np.zeros(m)
+            attempt, t_acc = np.zeros(m, dtype=np.int64), np.zeros(m)
+            for n in range(1, n_abort + 1):
+                tau = np.atleast_1d(dist.sample(rng, len(live)))
+                t_live += tau
+                cum += _probe(c, tau, neg_w, coeff_d, tiles)
+                hit = cum > v
+                if not hit.any():
+                    continue
+                attempt[live[hit]] = n
+                t_acc[live[hit]] = t_live[hit]
+                keep = ~hit
+                live, c, cum, v, t_live = live[keep], c[keep], cum[keep], v[keep], t_live[keep]
+                if not len(live):
+                    break
+            censored += len(live)
+            attempts_all.append(attempt[attempt > 0])
+            times_all.append(t_acc[attempt > 0])
     return TrajectoryEnsemble(
         mode="bernoulli", n_real=n_real, seed=seed, n_abort=n_abort,
         attempts=np.concatenate(attempts_all), times=np.concatenate(times_all),
-        censored=censored,
+        censored=censored, threads=tiles.threads,
     )
 
 
@@ -227,24 +295,24 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
     fn_sq_sum = np.zeros(n_cut)
     nf_all, pdet_all = [], []
     records = [] if keep_fn else None
-    for rng, m in _chunk_generators(seed, n_real, chunk):
-        c = np.tile(coeff_in, (m, 1))
-        e = np.empty_like(c)
-        sum_f = np.zeros(m)
-        sum_nf = np.zeros(m)
-        rec = np.empty((m, n_cut)) if keep_fn else None
-        for n in range(1, n_cut + 1):
-            f = _probe(c, np.atleast_1d(dist.sample(rng, m)), neg_w, coeff_d, e)
-            fn_sum[n - 1] += f.sum()
-            fn_sq_sum[n - 1] += (f * f).sum()
-            sum_f += f
-            sum_nf += n * f
+    with _Tiles(min(chunk, n_real), len(neg_w)) as tiles:
+        for rng, m in _chunk_generators(seed, n_real, chunk):
+            c = np.tile(coeff_in, (m, 1))
+            sum_f = np.zeros(m)
+            sum_nf = np.zeros(m)
+            rec = np.empty((m, n_cut)) if keep_fn else None
+            for n in range(1, n_cut + 1):
+                f = _probe(c, np.atleast_1d(dist.sample(rng, m)), neg_w, coeff_d, tiles)
+                fn_sum[n - 1] += f.sum()
+                fn_sq_sum[n - 1] += (f * f).sum()
+                sum_f += f
+                sum_nf += n * f
+                if keep_fn:
+                    rec[:, n - 1] = f
+            nf_all.append(sum_nf)
+            pdet_all.append(sum_f)
             if keep_fn:
-                rec[:, n - 1] = f
-        nf_all.append(sum_nf)
-        pdet_all.append(sum_f)
-        if keep_fn:
-            records.append(rec)
+                records.append(rec)
     pdet = np.concatenate(pdet_all)
     if pdet.max() < PDET_FLOOR:
         raise DegenerateProblemError(
@@ -257,5 +325,5 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
         mode="per_realization", n_real=n_real, seed=seed, n_cut=n_cut,
         nbar=np.concatenate(nf_all) / pdet, pdet=pdet,
         fn_mean=fn_mean, fn_stderr=np.sqrt(fn_var / n_real),
-        fn_records=np.vstack(records) if keep_fn else None,
+        fn_records=np.vstack(records) if keep_fn else None, threads=tiles.threads,
     )

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +408,27 @@ def test_cli_mc_summary_reports_probe_steps_and_throughput(tmp_path, capsys, mod
     assert summary["probe_steps"] == steps
     assert summary["wall_s"] > 0
     assert summary["steps_per_s"] == pytest.approx(steps / summary["wall_s"])
+    assert summary["threads"] == 1            # 400 x 6 amplitudes fit in one tile
+
+
+def test_cli_mc_one_realization_summary_is_strict_json(tmp_path, capsys):
+    # one realization has no sample variance: its keys are left out, not
+    # written as NaN (which strict JSON rejects), and numpy warns of nothing
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["mc", "--L", "6", "--gamma", "1", "--xin", "1", "--xd", "0",
+                       "--dist", "exp", "--mean", "0.6", "--mode", "per_realization",
+                       "--nreal", "1", "--ncut", "5", "--out", str(tmp_path / "x.csv")])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary = json.loads(captured.out, parse_constant=reject)["summary"]
+    assert summary["n_real"] == 1 and summary["nbar_mean"] >= 1.0
+    assert not {"nbar_var", "nbar_stderr", "nbar_var_stderr"} & summary.keys()
 
 
 def test_cli_verify_quick_in_process(capsys):

@@ -61,6 +61,24 @@ print(json.dumps({{"csv": csv, "futures": "concurrent.futures" in sys.modules,
 """
 
 
+# L = 64 with 20 000 realizations makes 20 tiles a probe step, enough for
+# every CPU of the affinity mask up to 20
+MC_POOL = f"""
+import contextlib, io, json, os, sys, threading
+from qprobe import cli
+
+futures_at_import = "concurrent.futures" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["mc", "--L", "64", *{RING[2:]!r}, "--mode", "per_realization",
+                     "--nreal", "20000", "--ncut", "2", "--out", os.devnull])
+print(json.dumps({{"code": code, "futures_at_import": futures_at_import,
+                  "summary_threads": json.loads(out.getvalue())["summary"]["threads"],
+                  "cpus": len(os.sched_getaffinity(0)),
+                  "threads": threading.active_count()}}))
+"""
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -95,4 +113,14 @@ def test_sweep_runs_serially_whatever_qprobe_threads_says():
     assert code4 == code == 0
     assert csv4 == csv_unset and csv4.count("\n") == 5
     assert doc["futures"] is False
+    assert doc["threads"] == 1
+
+
+def test_mc_pool_lives_in_the_run_only():
+    proc = _fresh_python("-c", MC_POOL)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0
+    assert doc["futures_at_import"] is False
+    assert doc["summary_threads"] == min(doc["cpus"], 20)
     assert doc["threads"] == 1
