@@ -6,6 +6,8 @@ the simulator can be checked realization by realization, not only in
 distribution.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -214,21 +216,18 @@ def test_dark_initial_state_per_realization_raises():
     assert ens.censored == 500 and len(ens.attempts) == 0
 
 
-def reference_probe(c, tau, neg_w, coeff_d, tiles=None):
+def row_kernel(c, d):
+    return np.einsum("ij,j->i", c, d)
+
+
+def reference_probe(c, tau, neg_w, coeff_d, tiles=None, amplitude=row_kernel):
     """The probe step written with temporaries over all rows at once: the
-    complex exp of the imaginary phase, the step's row kernel for the
-    amplitude and the rank-one update as one product."""
+    complex exp of the imaginary phase, the step's row kernel (or the BLAS
+    gemv ``np.matmul``) for the amplitude and the rank-one update as one
+    product."""
     w = -neg_w
     c *= np.exp(-1j * tau[:, None] * w[None, :])
-    amp = np.einsum("ij,j->i", c, coeff_d.conj())
-    c -= amp[:, None] * coeff_d[None, :]
-    return np.abs(amp) ** 2
-
-
-def gemv_probe(c, tau, neg_w, coeff_d):
-    """The reference step with the amplitude as the BLAS gemv ``c @ d*``."""
-    c *= np.exp(-1j * tau[:, None] * (-neg_w)[None, :])
-    amp = c @ coeff_d.conj()
+    amp = amplitude(c, coeff_d.conj())
     c -= amp[:, None] * coeff_d[None, :]
     return np.abs(amp) ** 2
 
@@ -275,7 +274,7 @@ def test_row_kernel_step_is_within_rounding_of_the_gemv_step(n):
     with _Tiles(m, n) as tiles:
         for _ in range(40):
             tau = np.atleast_1d(dist.sample(rng, m))
-            f_ref = gemv_probe(c_ref, tau, neg_w, coeff_d)
+            f_ref = reference_probe(c_ref, tau, neg_w, coeff_d, amplitude=np.matmul)
             f_new = _probe(c_new, tau, neg_w, coeff_d, tiles)
             assert np.max(np.abs(f_new - f_ref)) <= 1e-13 * f_ref.max()
             assert np.max(np.abs(c_new - c_ref)) <= 1e-13 * np.abs(c_ref).max()
@@ -368,12 +367,19 @@ def test_runs_are_bitwise_the_same_for_any_worker_count_and_tile(monkeypatch, mo
 
     b_one, p_one = runs(1, 1 << 12)
     assert b_one.threads == p_one.threads == 1
-    # 300-row tiles make two tiles of a 512-row chunk, so two workers run
-    for workers, tile_rows, threads in [(1, 37, 1), (2, 37, 2), (3, 37, 3), (3, 300, 2)]:
-        b, p = runs(workers, tile_rows)
-        assert b.threads == p.threads == p.summary()["threads"] == threads
-        assert b.censored == b_one.censored
-        assert np.array_equal(b.attempts, b_one.attempts)
-        assert np.array_equal(b.times, b_one.times)
-        for name in ("nbar", "pdet", "fn_mean", "fn_stderr"):
-            assert np.array_equal(getattr(p, name), getattr(p_one, name)), name
+    # 300-row tiles make two tiles of a 512-row chunk, so two workers run;
+    # three workers outnumber the cores of a small machine, and a short
+    # switch interval makes the workers interleave as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, tile_rows, threads in [(1, 37, 1), (2, 37, 2), (3, 37, 3), (3, 300, 2)]:
+            b, p = runs(workers, tile_rows)
+            assert b.threads == p.threads == p.summary()["threads"] == threads
+            assert b.censored == b_one.censored
+            assert np.array_equal(b.attempts, b_one.attempts)
+            assert np.array_equal(b.times, b_one.times)
+            for name in ("nbar", "pdet", "fn_mean", "fn_stderr"):
+                assert np.array_equal(getattr(p, name), getattr(p_one, name)), name
+    finally:
+        sys.setswitchinterval(interval)
