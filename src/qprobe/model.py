@@ -237,11 +237,11 @@ def spectral_full(model: QuantumModel) -> SpectralData:
     comp_d = v.conj().T @ model.psi_d
     comp_in = v.conj().T @ model.psi_in
     return SpectralData(
-        energies=w.copy(),
+        energies=w,
         p_detect=np.abs(comp_d) ** 2,
         p_init=np.abs(comp_in) ** 2,
         cross_amp=comp_d.conj() * comp_in,
-        bright=v.copy(),
+        bright=v,
         degeneracy_tol=0.0,
         reduced=False,
         label=model.label,

@@ -24,9 +24,9 @@ measurement projection, leaving at most (Nr-1)^2 active decay modes.
 
 The same rank-one structure and the unit diagonal of the averaged phases
 turn every solve against I - transfer into one (Nr+1) bordered system,
-factored in O(Nr^3) and solved in O(Nr^2).  A superoperator set factors
+inverted in O(Nr^3) and solved in O(Nr^2).  A superoperator set inverts
 it at most once: the moments, the adjoint solves (by the similarity
-S^T = diag(p)^-1 S diag(p), with no second factor), the condition gate
+S^T = diag(p)^-1 S diag(p), with no second inverse), the condition gate
 (an exact 1-norm times a Hager-Higham estimate of the inverse 1-norm)
 and the zero-mode census all share that one solver, the only pair-space
 operator applied.  The census finds the slowest decay rate, the Perron
@@ -55,6 +55,7 @@ PINV_RTOL = 1e-10
 EXCEPTIONAL_COND_SCALE = 1e4
 DENSE_CENSUS_MAX_DIM = 12          # dense eigvals up to a 144^2 transfer matrix
 NORM1_ITMAX = 5                    # zlacn2's ITMAX: solve pairs of the 1-norm estimate
+PINV_DENSE_ARRAYS = 9              # J, zgesdd's copy, factors and workspace: 8.6-8.8x in RSS
 
 
 def _survive(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -82,7 +83,7 @@ class SuperoperatorSet:
     rank-one source conj(amp_j) * amp_k feeding every trace.
 
     Only these O(Nr^2) arrays are stored, plus the structured resolvent
-    solver, factored on first use and shared by every later solve on the
+    solver, built on first use and shared by every later solve on the
     set.  ``survive`` applies S (x) S in O(Nr^2); the dense Nr^2 x Nr^2
     matrices ``proj_kron`` (S (x) S), ``transfer`` (diag(phase_avg) @
     proj_kron) and ``resolvent`` (I - transfer) are built afresh on every
@@ -115,13 +116,13 @@ class SuperoperatorSet:
     def _solver(self) -> _ResolventSolver:
         return _ResolventSolver(self.p_detect, self.phase_avg.reshape(self.dim, self.dim))
 
-    def _check_dense_budget(self) -> None:
-        """Raise DenseSizeError when one complex Nr^2 x Nr^2 array would
-        take more than DENSE_MAX_BYTES; called before allocating one."""
-        nbytes = 16 * self.dim**4
+    def _check_dense_budget(self, arrays: int = 1) -> None:
+        """Raise DenseSizeError when ``arrays`` complex Nr^2 x Nr^2 arrays
+        would take more than DENSE_MAX_BYTES; called before allocating them."""
+        nbytes = arrays * 16 * self.dim**4
         if nbytes > DENSE_MAX_BYTES:
             raise DenseSizeError(
-                f"a dense Nr^2 x Nr^2 matrix at Nr={self.dim} needs {nbytes} bytes, "
+                f"{arrays} dense Nr^2 x Nr^2 array(s) at Nr={self.dim} needs {nbytes} bytes, "
                 f"over the {DENSE_MAX_BYTES}-byte budget")
 
     @property
@@ -251,21 +252,6 @@ def _resolvent_norm1(p: np.ndarray, phi: np.ndarray) -> float:
     return float(cols.max())
 
 
-# scipy.linalg is imported at the first factorization, not with the module:
-# it doubles the start-up time of commands that never solve (fn, mc)
-def lu_factor(a: np.ndarray):
-    """LU factors of the square matrix ``a`` (``scipy.linalg.lu_factor``,
-    without its finiteness check: callers pass finite matrices)."""
-    from scipy.linalg import lu_factor as factor
-    return factor(a, check_finite=False)
-
-
-def lu_solve(lu, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b from the factors ``lu_factor(a)`` returned."""
-    from scipy.linalg import lu_solve as solve
-    return solve(lu, b, check_finite=False)
-
-
 def _unit(y: np.ndarray) -> np.ndarray:
     """y / |y| entrywise, 1 where |y| is below the smallest normal number."""
     mag = np.abs(y)
@@ -303,7 +289,7 @@ def _inverse_norm1_estimate(solve, solve_adjoint, n: int) -> float:
 
 
 class _ResolventSolver:
-    """Solves J x = b and J^H y = b from one factorization, and watches cond_1(J).
+    """Solves J x = b and J^H y = b from one small inverse, and watches cond_1(J).
 
     J x = b is X - phi o (S X S^T) = B for S = I - p 1^T.  With r and c the
     column and row sums of X and s its total, S X S^T = X - p r^T - c p^T
@@ -311,10 +297,14 @@ class _ResolventSolver:
     g = diag(B)/p, which eliminates c; off the diagonal X_jk = Bt_jk - W_jk
     (p_j r_k + (g_j - r_j) p_k), with W = phi/(1 - phi) and Bt = B/(1 - phi)
     (both 0 on the diagonal).  Summing those into r - c, in which diag(X)
-    cancels, leaves one (Nr+1) bordered system for (r, s), factored once
-    here in O(Nr^3); each solve is then O(Nr^2), and diag(X) follows from r.
+    cancels, leaves one (Nr+1) bordered system M (r, s) = (h, 0), inverted
+    once here in O(Nr^3).  A solve takes (r, s) from M^-1 in O(Nr^2) and
+    diag(X) from r, with one step of iterative refinement against M: a
+    computed inverse has an LU solve's forward error, but its residual can
+    be far larger (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, sec. 14.1), 1e4-fold for J at near-exceptional gamma laws.
 
-    The adjoint needs no second factor: S^T = diag(p)^-1 S diag(p), so with
+    The adjoint needs no second inverse: S^T = diag(p)^-1 S diag(p), so with
     q = p (x) p and K = S (x) S, q o conj(J^H y) = (I - K diag(phi))^-1
     (q o conj b), and (I - K diag(phi))^-1 = I + K J^-1 diag(phi) gives
     y = b + conj(K J^-1 (phi o q o conj b) / q): one forward solve and one
@@ -323,7 +313,7 @@ class _ResolventSolver:
     ``condition`` estimates cond_1(J) as the exact ||J||_1 times the
     Hager-Higham estimate of ||J^-1||_1; it is inf when the estimate is not
     finite or the bordered system cannot be formed (some phi_jk = 1 off the
-    diagonal, or some p_j = 0), and in that last case nothing is factored.
+    diagonal, or some p_j = 0) or is singular, and then nothing is inverted.
     It holds no reference to the set that caches it, so they form no cycle.
     """
 
@@ -345,9 +335,12 @@ class _ResolventSolver:
         m[n, n] = -1.0
         self.condition = np.inf
         if np.isfinite(m).all() and np.all(p != 0):
+            try:
+                self._m, self._inv = m, np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                return
             self._q = np.outer(p, p).ravel()
             self._phi_q = phi.ravel() * self._q
-            self._lu = lu_factor(m)
             with np.errstate(all="ignore"):
                 est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
             if np.isfinite(est):
@@ -358,9 +351,9 @@ class _ResolventSolver:
         b = b.reshape(n, n)
         bt = b * self._inv_gap
         g = b.diagonal() / p
-        rhs = np.zeros(n + 1, dtype=complex)
-        rhs[:-1] = bt.sum(axis=0) - bt.sum(axis=1) + g * (1.0 + self._w_p) - p * (g @ w)
-        r = lu_solve(self._lu, rhs)[:-1]
+        h = bt.sum(axis=0) - bt.sum(axis=1) + g * (1.0 + self._w_p) - p * (g @ w)
+        y = self._inv[:, :-1] @ h                       # (h, 0): the border entry is 0
+        r = (y + self._inv @ (np.append(h, 0.0) - self._m @ y))[:-1]  # one refinement step
         x = bt - w * (np.outer(p, r) + np.outer(g - r, p))
         x[np.diag_indices(n)] = r - x.sum(axis=0)       # x_jj is still 0 here
         return x.ravel()
@@ -372,11 +365,13 @@ class _ResolventSolver:
 
 class _PseudoInverseSolver:
     """Solves J x = b by a truncated-SVD pseudo-inverse of the dense J
-    (cutoff PINV_RTOL relative); ``condition`` is s_max / s_min."""
+    (cutoff PINV_RTOL relative); ``condition`` is s_max / s_min.  Its SVD
+    holds PINV_DENSE_ARRAYS arrays the size of J, budgeted before J is built."""
 
     backend = "pinv"
 
     def __init__(self, sset: SuperoperatorSet):
+        sset._check_dense_budget(PINV_DENSE_ARRAYS)
         u, s, vh = np.linalg.svd(sset.resolvent)
         keep = s > PINV_RTOL * s[0]
         self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
@@ -410,7 +405,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     """Total detection probability and conditional attempt/time moments.
 
     All moments come from repeated solves against the resolvent applied to
-    the rank-one source; explicit inverses are never formed.  Every moment
+    the rank-one source; no Nr^2 x Nr^2 inverse is formed.  Every moment
     is normalized by the detection probability, so the results are
     conditioned on eventual detection.
 

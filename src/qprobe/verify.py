@@ -31,7 +31,7 @@ def stroboscopic_fn_direct(model: QuantumModel, tau0: float, n_max: int) -> np.n
     oracle for the averaged series when the interval density is a point
     mass.
     """
-    from scipy.linalg import expm             # imported here: see superop.lu_factor
+    from scipy.linalg import expm             # imported here: scipy slows every start-up
     u = expm(-1j * tau0 * model.hamiltonian)
     phi = u @ model.psi_in
     out = np.empty(n_max)

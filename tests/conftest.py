@@ -1,19 +1,19 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
-
-from qprobe import superop
 
 
 @pytest.fixture
-def lu_factor_calls(monkeypatch):
-    """The list of matrices passed to superop.lu_factor while the test runs."""
+def bordered_inverses(monkeypatch):
+    """The list of matrices passed to numpy.linalg.inv while the test runs:
+    the bordered matrices the structured solver inverts."""
     calls = []
-    factor = superop.lu_factor
+    inv = np.linalg.inv
 
     def counting(a, *args, **kwargs):
         calls.append(a)
-        return factor(a, *args, **kwargs)
+        return inv(a, *args, **kwargs)
 
-    monkeypatch.setattr(superop, "lu_factor", counting)
+    monkeypatch.setattr(np.linalg, "inv", counting)
     return calls

@@ -1,7 +1,8 @@
 """Start-up tests: what a fresh ``qprobe`` process imports.
 
-``fn``, ``mc``, ``--help`` and input errors run on numpy alone; scipy is
-imported at the first factorization (``stats``, ``sweep``, ``verify``).
+``fn``, ``mc``, ``--help``, input errors, sweeps of the moments and
+``stats`` up to Nr = 12 run on numpy alone; scipy is imported only for the
+Arnoldi census above Nr = 12 and for ``verify``'s matrix-exponential oracle.
 """
 
 import json
@@ -33,6 +34,21 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         cli.main(["--help"])
     except SystemExit as exc:
         codes.append(exc.code)
+print(json.dumps({{"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+"""
+
+
+SOLVES = f"""
+import contextlib, io, json, sys
+from qprobe import cli
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["sweep", "--L", "24", *{RING[2:8]!r}, "--dist", "gamma",
+                           "--mean", "0.6", "--axis", "alpha", "--grid", "1,2,3",
+                           "--outputs", "n_mean,t_mean"]))
+    codes.append(cli.main(["stats", *{RING!r}]))
 print(json.dumps({{"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
 """
@@ -92,9 +108,15 @@ def test_commands_without_a_solve_never_import_scipy():
     assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 2, 0], "scipy": []}
 
 
+def test_moment_solves_never_import_scipy():
+    # a moments sweep at Nr = 13 and stats at Nr = 4 (dense census)
+    proc = _fresh_python("-c", SOLVES)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+
+
 def test_stats_in_a_fresh_process_matches_in_process(capsys):
-    # Nr = 13 > 12: the first solve imports scipy.linalg, the census
-    # scipy.sparse.linalg
+    # Nr = 13 > 12: the census imports scipy.sparse.linalg
     argv = ["stats", "--L", "24", "--gamma", "1", "--xin", "12", "--xd", "0",
             "--dist", "gamma", "--alpha", "5", "--mean", "0.6"]
     proc = _fresh_python("-m", "qprobe.cli", *argv)

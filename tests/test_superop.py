@@ -20,7 +20,8 @@ from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeEr
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import (build_dense, build_ring, build_two_level,
                           spectral_full, spectral_reduce)
-from qprobe.superop import (build_superops, detection_stats, fn_series,
+from qprobe.superop import (PINV_DENSE_ARRAYS, SuperoperatorSet, build_superops,
+                            detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
 from qprobe.verify import dense_reference_stats, stroboscopic_fn_direct
 
@@ -291,18 +292,63 @@ def test_solver_keeps_no_reference_to_its_set():
 
 
 def test_transfer_refuses_arrays_over_the_dense_budget():
-    # 16 Nr^4 bytes: 1.05e9 at Nr = 90 (allowed), 1.10e9 at Nr = 91
+    # 16 Nr^4 bytes: 1.05e9 at Nr = 90 (allowed), 1.10e9 at Nr = 91; the
+    # pseudo-inverse counts the 9 arrays of its SVD
     sset = build_superops(spectral_reduce(build_ring(180, 1.0, 90, 0)),
                           ExponentialInterval(0.6))
     assert sset.dim == 91
-    for make in (lambda: sset.transfer, lambda: sset.resolvent, lambda: sset.proj_kron,
-                 lambda: detection_stats(sset, ExponentialInterval(0.6), pseudo_inverse=True)):
+    for make, nbytes in (
+            (lambda: sset.transfer, 1097199376), (lambda: sset.resolvent, 1097199376),
+            (lambda: sset.proj_kron, 1097199376),
+            (lambda: detection_stats(sset, ExponentialInterval(0.6), pseudo_inverse=True),
+             9 * 1097199376)):
         tracemalloc.start()
-        with pytest.raises(DenseSizeError, match="Nr=91 needs 1097199376 bytes"):
+        with pytest.raises(DenseSizeError, match=f"Nr=91 needs {nbytes} bytes"):
             make()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 16 * 91**2 * 64
+
+
+def test_pseudo_inverse_traced_peak_is_five_arrays_the_size_of_j():
+    # tracemalloc sees u, vh and the three arrays that form the
+    # pseudo-inverse; the SVD's copy of J, its factors and workspace are
+    # allocated outside it, and the RSS rise is 8.6-8.8 arrays at Nr = 31-41,
+    # hence the budget counts PINV_DENSE_ARRAYS = 9
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_reduce(build_ring(40, 1.0, 20, 0)), dist)
+    assert sset.dim == 21
+    tracemalloc.start()
+    detection_stats(sset, dist, pseudo_inverse=True)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak == pytest.approx(5 * 16 * 21**4, rel=0.01)
+    assert peak < PINV_DENSE_ARRAYS * 16 * 21**4
+
+
+@pytest.mark.parametrize("L, refused", [(102, False), (104, True)])
+def test_pseudo_inverse_budget_counts_its_svd(monkeypatch, capsys, L, refused):
+    # 9 * 16 Nr^4 bytes: 1.05e9 at Nr = 52 (allowed), 1.14e9 at Nr = 53;
+    # J is a stand-in and the SVD raises, so nothing large is built
+    def no_svd(a, *args, **kwargs):
+        raise RuntimeError("the SVD was reached")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(SuperoperatorSet, "resolvent", property(lambda self: np.eye(2)))
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_reduce(build_ring(L, 1.0, L // 2, 0)), dist)
+    assert sset.dim == L // 2 + 1
+    if refused:
+        message = r"9 dense Nr\^2 x Nr\^2 array\(s\) at Nr=53 needs 1136229264 bytes"
+        with pytest.raises(DenseSizeError, match=message):
+            detection_stats(sset, dist, pseudo_inverse=True)
+        assert cli.main(["stats", "--L", str(L), "--gamma", "1", "--xin", str(L // 2),
+                         "--xd", "0", "--dist", "exp", "--mean", "0.6", "--pseudo-inverse"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Nr=53" in err and err.count("\n") == 1
+    else:
+        with pytest.raises(RuntimeError, match="the SVD was reached"):
+            detection_stats(sset, dist, pseudo_inverse=True)
 
 
 def test_tls_return_single_nonzero_mode():
@@ -578,6 +624,36 @@ def test_small_detection_weight_ladder(dist_name):
     assert "smallest detection weight p[0] = 3.000e-12" in str(err)
 
 
+@pytest.mark.parametrize("law", ["fixed", "gamma"])
+def test_phase_near_one_route_to_the_gate(law):
+    # the other route to a large cond_1(J): a pair phase phi -> 1 at
+    # tau = tau_c (1 + eps), tau_c = 2 pi / (E_3 - E_0) on ring 7.  Fixed
+    # intervals take cond from 3e3 at eps = 1e-2 to 2.9e11 at 1e-6; the
+    # gamma law's |phi| < 1 holds it near 7e5, where W = phi / (1 - phi)
+    # reaches 1e4.  Structured and dense agree to within 0.16 cond eps
+    # (pinned at 2e-16 cond, as on the ladder).  There the residual is
+    # <= 6e-12 (LU: 3e-12) with the solver's refinement step, 1.3e-8 without
+    sd = spectral_reduce(build_ring(7, 1.0, 1, 0))
+    tau_c = 2 * np.pi / (sd.energies[3] - sd.energies[0])
+    conds, residuals = [], []
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        tau = tau_c * (1 + eps)
+        dist = FixedInterval(tau) if law == "fixed" else GammaInterval(1e6, tau)
+        sset = build_superops(sd, dist)
+        st = detection_stats(sset, dist)
+        ref = dense_reference_stats(sset)
+        ref.pop("condition")
+        conds.append(st.condition)
+        residuals.append(st.residual)
+        for name, expect in ref.items():
+            assert getattr(st, name) == pytest.approx(expect, rel=2e-16 * st.condition), \
+                (eps, name)
+    if law == "fixed":
+        assert conds == sorted(conds) and conds[0] < 1e4 and 1e11 < conds[-1] < 1e12
+    else:
+        assert max(residuals) <= 1e-10
+
+
 SOLVE_MODELS = {name: make for name, make in CROSS_MODELS.items() if name != "full_ring6"}
 SOLVE_MODELS.update({f"ladder_{p_min:g}": lambda p_min=p_min: p_min_ladder_model(p_min)
                      for p_min in (6e-3, 1e-4, 1e-6, 1e-8, 1e-10)})
@@ -600,38 +676,38 @@ def test_structured_forward_and_adjoint_solves_match_dense(model_name):
             assert err <= 2e-16 * solver.condition, (dist_name, solve.__name__, err)
 
 
-def test_one_bordered_factorization_per_superoperator_set(capsys, lu_factor_calls):
+def test_one_bordered_factorization_per_superoperator_set(capsys, bordered_inverses):
     # the moments, the adjoint solves of the condition estimate and the
-    # census share the factor a set builds on first use
+    # census share the bordered inverse a set builds on first use
     ring80 = ["--L", "80", "--gamma", "1", "--xin", "40", "--xd", "0", "--dist", "exp"]
     assert cli.main(["stats", *ring80, "--mean", "0.6"]) == 0
     assert json.loads(capsys.readouterr().out)["reduced_dim"] == 41
-    assert [a.shape for a in lu_factor_calls] == [(42, 42)]
-    del lu_factor_calls[:]
+    assert [a.shape for a in bordered_inverses] == [(42, 42)]
+    del bordered_inverses[:]
     assert cli.main(["sweep", *ring80, "--axis", "mean_tau", "--grid", "0.5,0.6,0.7"]) == 0
     assert "ill-conditioned" not in capsys.readouterr().out
-    assert len(lu_factor_calls) == 3
-    del lu_factor_calls[:]
+    assert len(bordered_inverses) == 3
+    del bordered_inverses[:]
     dist = ExponentialInterval(0.6)
     sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), dist)
     detection_stats(sset, dist, pseudo_inverse=True)
-    assert lu_factor_calls == []
+    assert bordered_inverses == []
     detection_stats(sset, dist)
     zero_mode_census(sset)
     universal_identity_check(sset, dist)
-    assert len(lu_factor_calls) == 1
+    assert len(bordered_inverses) == 1
 
 
 @pytest.mark.parametrize("L, x_in, factors", [(9, 2, 0), (24, 12, 2)])
-def test_lambda_max_sweep_factors_only_for_the_census(capsys, lu_factor_calls,
+def test_lambda_max_sweep_factors_only_for_the_census(capsys, bordered_inverses,
                                                       L, x_in, factors):
-    # Nr = 5 takes the dense census and factors nothing; Nr = 13 factors once
+    # Nr = 5 takes the dense census and inverts nothing; Nr = 13 inverts once
     # a point for the shift-invert census and nothing for a condition
     assert cli.main(["sweep", "--L", str(L), "--gamma", "1", "--xin", str(x_in),
                      "--xd", "0", "--dist", "exp", "--axis", "mean_tau",
                      "--grid", "0.5,0.6", "--outputs", "lambda_max"]) == 0
     assert "ill-conditioned" not in capsys.readouterr().out
-    assert len(lu_factor_calls) == factors
+    assert len(bordered_inverses) == factors
 
 
 def test_singular_full_space_raises_without_pseudo_inverse():
@@ -643,6 +719,23 @@ def test_singular_full_space_raises_without_pseudo_inverse():
         detection_stats(sset, dist)
     assert info.value.condition == np.inf
     assert info.value.p_min == 0.0 and info.value.pairs
+
+
+def test_singular_bordered_matrix_leaves_the_condition_infinite(monkeypatch):
+    # an exactly singular bordered matrix makes numpy.linalg.inv raise:
+    # nothing is inverted, the gate fires and the census takes dense eigvals
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), dist)
+    assert sset.dim == 13 and sset._solver.condition == np.inf
+    with pytest.raises(IllConditionedError) as info:
+        detection_stats(sset, dist)
+    assert info.value.condition == np.inf
+    census = zero_mode_census(sset)
+    assert census.structural is False and census.n_zero + census.n_nonzero == 13**2
 
 
 @pytest.mark.filterwarnings("error")
