@@ -10,19 +10,24 @@ processed in vectorized chunks.
 Both modes share one probe step.  The amplitude is never renormalized,
 so F_n = |<psi_d|c>|**2 is the probability, given the intervals, that
 the first detection happens at probe n.  The step walks the realizations
-in row tiles of ``TILE_ELEMS`` amplitudes (1 MB of complex, within L2).
-On a tile it writes the real phase tau (x) (-w) into the imaginary view
-of a tile-sized complex scratch buffer, its cosine into the real view
-and its sine over the phase, which is bitwise the complex exp of the
-purely imaginary phase at about half its cost; it takes the amplitude
-with a row kernel (``einsum``, no BLAS, so no BLAS thread spins between
-tiles) and forms the rank-one projection in the same buffer.  The tiles
-of a step are split into contiguous ranges over the CPUs the process
-may run on (``os.sched_getaffinity``): the calling thread takes one
-range and a per-run thread pool the rest, each worker with its own
-scratch buffer.  A step that fits in one tile runs in the calling thread
-and starts no pool.  Sampling, the sums and the Bernoulli compaction
-stay in the calling thread.
+in row tiles of ``TILE_ELEMS`` amplitudes (2**15: 0.5 MB of complex and
+0.25 MB of float scratch, within L2).  On a tile it writes the half
+phase tau (x) (-w/2) into a C-contiguous float buffer and takes its
+tangent t in place; the phase factor is then exp(-i tau w) =
+(1 + i t)/(1 - i t), whose real part 2/(1 + t**2) - 1 and imaginary part
+t 2/(1 + t**2) go into the views of a complex buffer.  numpy vectorizes
+the float64 tangent of a contiguous array (AVX-512) but not cos and sin,
+so one tangent and a few multiplies cost well under the two libm calls;
+the buffer is contiguous because a strided view such as ``e.imag`` takes
+another ``tan`` loop, twice as slow.  The step takes the amplitude with a
+row kernel (``einsum``, no BLAS, so no BLAS thread spins between tiles)
+and forms the rank-one projection in the complex buffer.  The tiles of a
+step are split into contiguous ranges over the CPUs the process may run
+on (``os.sched_getaffinity``): the calling thread takes one range and a
+per-run thread pool the rest, each worker with its own pair of scratch
+buffers.  A step that fits in one tile runs in the calling thread and
+starts no pool.  Sampling, the sums and the Bernoulli compaction stay in
+the calling thread.
 
 * ``bernoulli`` samples that attempt by inverse transform: one uniform v
   per realization, detection at the first n with F_1 + ... + F_n > v.
@@ -36,8 +41,10 @@ Reproducibility: realizations are split into fixed-size chunks and each
 chunk gets its own counter-based generator spawned deterministically from
 the seed, so results are bit-identical for a given seed no matter how
 chunks would be scheduled.  Every operation of the step is elementwise or
-per row, so they are also bit-identical for any worker count or tile
-boundary.
+per row, and the contiguous tangent gives the same bits at any offset
+and length, so they are also bit-identical for any worker count or tile
+boundary.  Across machines the last bits follow numpy's dispatch of
+``tan`` (AVX-512 or not).
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .model import PDET_FLOOR, QuantumModel
 
 DEFAULT_CHUNK = 1 << 15
 DEFAULT_ABORT = 10**6
-TILE_ELEMS = 1 << 16
+TILE_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -138,12 +145,12 @@ class TrajectoryEnsemble:
 
 
 def _eigenphase_setup(model: QuantumModel):
-    """Minus the eigenvalues (the phase rates of the probe step) and the
-    eigenbasis amplitudes of psi_in and psi_d."""
+    """Minus half the eigenvalues (the half-phase rates of the probe step;
+    halving is exact) and the eigenbasis amplitudes of psi_in and psi_d."""
     w, v = np.linalg.eigh(model.hamiltonian)
     coeff_in = v.conj().T @ model.psi_in
     coeff_d = v.conj().T @ model.psi_d
-    return -w, coeff_in, coeff_d
+    return -0.5 * w, coeff_in, coeff_d
 
 
 def _chunk_generators(seed: int, n_real: int, chunk: int):
@@ -164,7 +171,8 @@ class _Tiles:
 
     ``run(fn, k)`` covers rows [0, k) with row tiles of ``TILE_ELEMS``
     amplitudes, split into contiguous ranges over at most ``_workers()``
-    workers; ``fn(lo, hi, scratch)`` walks one range.  The thread pool is
+    workers; ``fn(lo, hi, e, h)`` walks one range with the worker's
+    complex and float scratch.  The thread pool is
     made at the first step with more than one tile and shut down when the
     run leaves the ``with`` block.  ``threads`` is the most workers any
     step used.
@@ -172,7 +180,8 @@ class _Tiles:
 
     def __init__(self, m: int, n: int):
         self.rows = max(1, TILE_ELEMS // n)
-        self.scratch = [np.empty((min(self.rows, m), n), dtype=complex)
+        shape = (min(self.rows, m), n)
+        self.scratch = [(np.empty(shape, dtype=complex), np.empty(shape))
                         for _ in range(min(_workers(), -(-m // self.rows)))]
         self.pool = None
         self.threads = 1
@@ -191,31 +200,38 @@ class _Tiles:
         if w > 1 and self.pool is None:
             from concurrent.futures import ThreadPoolExecutor
             self.pool = ThreadPoolExecutor(len(self.scratch) - 1)
-        futures = [self.pool.submit(fn, bounds[i], bounds[i + 1], self.scratch[i])
+        futures = [self.pool.submit(fn, bounds[i], bounds[i + 1], *self.scratch[i])
                    for i in range(1, w)]
-        fn(bounds[0], bounds[1], self.scratch[0])
+        fn(bounds[0], bounds[1], *self.scratch[0])
         for fut in futures:
             fut.result()
         self.threads = max(self.threads, w)
 
 
-def _probe(c, tau, neg_w, coeff_d, tiles):
+def _probe(c, tau, neg_half_w, coeff_d, tiles):
     """Evolve row i of ``c`` (eigenbasis amplitudes) for ``tau[i]``, project
     psi_d out in place and return F = |<psi_d|c>|**2 before the projection.
 
-    ``neg_w`` is minus the eigenvalues; ``tiles`` walks the rows tile by
-    tile, so the step allocates no array of the shape of ``c``.
+    ``neg_half_w`` is minus half the eigenvalues.  With t = tan(tau (-w/2)),
+    taken in place on the contiguous float scratch, the phase factor is
+    exp(-i tau w) = (1 + i t)/(1 - i t) = 2/(1 + t**2) - 1 + i t 2/(1 + t**2);
+    t**2 cannot overflow for a finite argument.  ``tiles`` walks the rows
+    tile by tile, so the step allocates no array of the shape of ``c``.
     """
     f = np.empty(len(c))
     coeff_dc = coeff_d.conj()
 
-    def walk(lo, hi, e):
+    def walk(lo, hi, e, h):
         for a in range(lo, hi, tiles.rows):
             b = min(a + tiles.rows, hi)
-            ct, et = c[a:b], e[:b - a]
-            np.multiply(tau[a:b, None], neg_w, out=et.imag)      # the phase -tau w
-            np.cos(et.imag, out=et.real)
-            np.sin(et.imag, out=et.imag)                        # e = exp(-i tau w)
+            ct, et, t = c[a:b], e[:b - a], h[:b - a]
+            np.multiply(tau[a:b, None], neg_half_w, out=t)     # the half phase
+            np.tan(t, out=t)
+            np.multiply(t, t, out=et.real)
+            et.real += 1.0
+            np.divide(2.0, et.real, out=et.real)                # s = 2/(1 + t**2)
+            np.multiply(t, et.real, out=et.imag)
+            et.real -= 1.0                                      # e = exp(-i tau w)
             ct *= et
             amp = np.einsum("ij,j->i", ct, coeff_dc)
             np.multiply(amp[:, None], coeff_d, out=et)
@@ -243,10 +259,10 @@ def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
         raise ValueError(f"n_abort must be >= 1, got {n_abort}")
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
-    neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
     attempts_all, times_all = [], []
     censored = 0
-    with _Tiles(min(chunk, n_real), len(neg_w)) as tiles:
+    with _Tiles(min(chunk, n_real), len(neg_half_w)) as tiles:
         for rng, m in _chunk_generators(seed, n_real, chunk):
             v = rng.random(m)
             c = np.tile(coeff_in, (m, 1))
@@ -255,7 +271,7 @@ def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
             for n in range(1, n_abort + 1):
                 tau = np.atleast_1d(dist.sample(rng, len(live)))
                 t_live += tau
-                cum += _probe(c, tau, neg_w, coeff_d, tiles)
+                cum += _probe(c, tau, neg_half_w, coeff_d, tiles)
                 hit = cum > v
                 if not hit.any():
                     continue
@@ -290,19 +306,20 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
         raise ValueError(f"n_cut must be >= 2, got {n_cut}")
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
-    neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
     fn_sum = np.zeros(n_cut)
     fn_sq_sum = np.zeros(n_cut)
     nf_all, pdet_all = [], []
     records = [] if keep_fn else None
-    with _Tiles(min(chunk, n_real), len(neg_w)) as tiles:
+    with _Tiles(min(chunk, n_real), len(neg_half_w)) as tiles:
         for rng, m in _chunk_generators(seed, n_real, chunk):
             c = np.tile(coeff_in, (m, 1))
             sum_f = np.zeros(m)
             sum_nf = np.zeros(m)
             rec = np.empty((m, n_cut)) if keep_fn else None
             for n in range(1, n_cut + 1):
-                f = _probe(c, np.atleast_1d(dist.sample(rng, m)), neg_w, coeff_d, tiles)
+                tau = np.atleast_1d(dist.sample(rng, m))
+                f = _probe(c, tau, neg_half_w, coeff_d, tiles)
                 fn_sum[n - 1] += f.sum()
                 fn_sq_sum[n - 1] += (f * f).sum()
                 sum_f += f

@@ -7,6 +7,7 @@ distribution.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,14 +221,27 @@ def row_kernel(c, d):
     return np.einsum("ij,j->i", c, d)
 
 
-def reference_probe(c, tau, neg_w, coeff_d, tiles=None, amplitude=row_kernel):
+def reference_probe(c, tau, neg_half_w, coeff_d, tiles=None, amplitude=row_kernel):
     """The probe step written with temporaries over all rows at once: the
-    complex exp of the imaginary phase, the step's row kernel (or the BLAS
-    gemv ``np.matmul``) for the amplitude and the rank-one update as one
-    product."""
-    w = -neg_w
-    c *= np.exp(-1j * tau[:, None] * w[None, :])
+    half-angle phase from the tangent of the contiguous half phase, the
+    step's row kernel (or the BLAS gemv ``np.matmul``) for the amplitude
+    and the rank-one update as one product."""
+    t = np.tan(tau[:, None] * neg_half_w[None, :])
+    s = 2.0 / (1.0 + t * t)
+    e = np.empty(c.shape, dtype=complex)
+    e.real, e.imag = s - 1.0, t * s
+    c *= e
     amp = amplitude(c, coeff_d.conj())
+    c -= amp[:, None] * coeff_d[None, :]
+    return np.abs(amp) ** 2
+
+
+def exp_oracle_probe(c, tau, neg_half_w, coeff_d):
+    """The independent oracle of the step: the complex exp of the imaginary
+    phase and the BLAS gemv for the amplitude."""
+    w = -2.0 * neg_half_w
+    c *= np.exp(-1j * tau[:, None] * w[None, :])
+    amp = c @ coeff_d.conj()
     c -= amp[:, None] * coeff_d[None, :]
     return np.abs(amp) ** 2
 
@@ -245,45 +259,122 @@ def random_dense_model(n, seed):
                          ids=["fixed", "gamma"])
 @pytest.mark.parametrize("n", [2, 6, 64])
 def test_fused_probe_is_bitwise_the_reference_step(n, dist):
-    neg_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
     assert np.iscomplexobj(coeff_d) and np.any(coeff_d.imag != 0)
     m, rng = 257, np.random.default_rng(11)
     c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
     with _Tiles(m, n) as tiles:
         for _ in range(6):
             tau = np.atleast_1d(dist.sample(rng, m))
-            f_ref = reference_probe(c_ref, tau, neg_w, coeff_d)
-            f_new = _probe(c_new, tau, neg_w, coeff_d, tiles)
+            f_ref = reference_probe(c_ref, tau, neg_half_w, coeff_d)
+            f_new = _probe(c_new, tau, neg_half_w, coeff_d, tiles)
             assert np.array_equal(f_new, f_ref)
             assert np.array_equal(c_new, c_ref)
         # fewer rows than the buffers hold, as after a bernoulli compaction
         k = 100
-        f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), neg_w, coeff_d)
-        f_new = _probe(c_new[:k], np.full(k, 0.3), neg_w, coeff_d, tiles)
+        f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), neg_half_w, coeff_d)
+        f_new = _probe(c_new[:k], np.full(k, 0.3), neg_half_w, coeff_d, tiles)
     assert np.array_equal(f_new, f_ref) and np.array_equal(c_new, c_ref)
 
 
 @pytest.mark.parametrize("n", [2, 6, 64])
 def test_row_kernel_step_is_within_rounding_of_the_gemv_step(n):
-    # the row kernel sums each amplitude in another order than the BLAS
-    # gemv; over 40 steps the two stay within 1e-13 of the step's largest
-    # F (measured: at most 5e-15 for n = 2, 6 and 64)
-    neg_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
-    dist, m, rng = GammaInterval(2.5, 0.6), 2000, np.random.default_rng(11)
-    c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
-    with _Tiles(m, n) as tiles:
-        for _ in range(40):
-            tau = np.atleast_1d(dist.sample(rng, m))
-            f_ref = reference_probe(c_ref, tau, neg_w, coeff_d, amplitude=np.matmul)
-            f_new = _probe(c_new, tau, neg_w, coeff_d, tiles)
-            assert np.max(np.abs(f_new - f_ref)) <= 1e-13 * f_ref.max()
-            assert np.max(np.abs(c_new - c_ref)) <= 1e-13 * np.abs(c_ref).max()
+    # the tangent phase and the row kernel differ from the complex exp and
+    # the BLAS gemv in the last bits; over 40 steps the two stay within
+    # 1e-13 of the step's largest F under each law
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(n, seed=n))
+    m = 2000
+    for dist in (FixedInterval(0.7), ExponentialInterval(0.6), GammaInterval(2.5, 0.6)):
+        rng = np.random.default_rng(11)
+        c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
+        with _Tiles(m, n) as tiles:
+            for _ in range(40):
+                tau = np.atleast_1d(dist.sample(rng, m))
+                f_ref = exp_oracle_probe(c_ref, tau, neg_half_w, coeff_d)
+                f_new = _probe(c_new, tau, neg_half_w, coeff_d, tiles)
+                assert np.max(np.abs(f_new - f_ref)) <= 1e-13 * f_ref.max(), dist
+                assert np.max(np.abs(c_new - c_ref)) <= 1e-13 * np.abs(c_ref).max(), dist
+
+
+def test_probe_phase_is_within_rounding_of_expj():
+    # with psi_d = 0 the step leaves c = 1 times the phase factor, so a
+    # column of half-rate 1/2 (and one of -1/2) reads e = exp(+-i theta)
+    # off the step itself, against a 30-digit mpmath.expj
+    mpmath = pytest.importorskip("mpmath")
+    theta = np.concatenate([
+        [0.0, 1e-300, 1e-10, np.pi, 2 * np.pi, 1e6],
+        np.pi * (2 * np.arange(0, 159000, 797) + 1),   # odd multiples of pi
+        np.logspace(-10, 6, 1500),
+        np.random.default_rng(7).uniform(0.0, 100.0, 500),
+    ])
+    c = np.ones((len(theta), 2), dtype=complex)
+    with _Tiles(len(theta), 2) as tiles:
+        _probe(c, theta, np.array([0.5, -0.5]), np.zeros(2, dtype=complex), tiles)
+    with mpmath.workdps(30):
+        for th, (e_pos, e_neg) in zip(theta, c):
+            exact = mpmath.expj(mpmath.mpf(float(th)))
+            assert abs(mpmath.mpc(e_pos) - exact) <= 4.5e-16, th
+            assert abs(mpmath.mpc(e_neg) - mpmath.conj(exact)) <= 4.5e-16, th
+
+
+def test_probe_takes_tan_of_a_contiguous_buffer_and_allocates_no_c_sized_array(monkeypatch):
+    # every tangent runs in place on a C-contiguous float64 tile buffer (the
+    # vectorized loop), and no cos, sin or exp is called; tracemalloc sees
+    # the returned F and per-tile amplitudes, not an array of c's 20 MB
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(64, seed=64))
+    m = 20000
+    tau = ExponentialInterval(0.6).sample(np.random.default_rng(5), m)
+    c = np.tile(coeff_in, (m, 1))
+    tan, seen = np.tan, []
+
+    def checked_tan(x, out):
+        assert x.dtype == np.float64 and x.flags.c_contiguous and out is x
+        seen.append(x.size)
+        return tan(x, out=out)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the probe step calls no cos, sin or exp")
+
+    monkeypatch.setattr(np, "tan", checked_tan)
+    for name in ("cos", "sin", "exp"):
+        monkeypatch.setattr(np, name, refused)
+    with _Tiles(m, 64) as tiles:
+        tracemalloc.start()
+        try:
+            _probe(c, tau, neg_half_w, coeff_d, tiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sum(seen) == c.size and max(seen) == trajectory.TILE_ELEMS
+    assert peak < c.nbytes / 16
+
+
+@pytest.mark.parametrize("model, m", [(random_dense_model(6, seed=6), 10000),
+                                      (build_two_level(1.0), trajectory.DEFAULT_CHUNK)],
+                         ids=["dense6", "tls"])
+def test_small_n_steps_use_both_workers(monkeypatch, model, m):
+    # 2**15-amplitude tiles split 10 000 rows of 6 and a default chunk of
+    # two-level rows into two tiles, so two workers share one step
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
+    tau = ExponentialInterval(0.6).sample(np.random.default_rng(3), m)
+
+    def step(workers):
+        monkeypatch.setattr(trajectory, "_workers", lambda: workers)
+        c = np.tile(coeff_in, (m, 1))
+        with _Tiles(m, len(coeff_in)) as tiles:
+            f = _probe(c, tau, neg_half_w, coeff_d, tiles)
+        return f, c, tiles.threads
+
+    f_one, c_one, threads_one = step(1)
+    f_two, c_two, threads_two = step(2)
+    assert (threads_one, threads_two) == (1, 2)
+    assert np.array_equal(f_two, f_one) and np.array_equal(c_two, c_one)
 
 
 def reference_bernoulli(model, dist, n_real, seed, n_abort, chunk):
     """Bernoulli mode with the live set kept as an index array: every probe
     indexes v and the elapsed times by it and steps the reference probe."""
-    neg_w, coeff_in, coeff_d = _eigenphase_setup(model)
+    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
     attempts, times, censored = [], [], 0
     for rng, m in _chunk_generators(seed, n_real, chunk):
         v = rng.random(m)
@@ -293,7 +384,7 @@ def reference_bernoulli(model, dist, n_real, seed, n_abort, chunk):
         for n in range(1, n_abort + 1):
             tau = np.atleast_1d(dist.sample(rng, len(live)))
             t_acc[live] += tau
-            cum += reference_probe(c, tau, neg_w, coeff_d)
+            cum += reference_probe(c, tau, neg_half_w, coeff_d)
             hit = cum > v[live]
             attempt[live[hit]] = n
             live, c, cum = live[~hit], c[~hit], cum[~hit]
