@@ -212,11 +212,14 @@ def _probe(c, tau, neg_half_w, coeff_d, tiles):
     """Evolve row i of ``c`` (eigenbasis amplitudes) for ``tau[i]``, project
     psi_d out in place and return F = |<psi_d|c>|**2 before the projection.
 
-    ``neg_half_w`` is minus half the eigenvalues.  With t = tan(tau (-w/2)),
-    taken in place on the contiguous float scratch, the phase factor is
-    exp(-i tau w) = (1 + i t)/(1 - i t) = 2/(1 + t**2) - 1 + i t 2/(1 + t**2);
-    t**2 cannot overflow for a finite argument.  ``tiles`` walks the rows
-    tile by tile, so the step allocates no array of the shape of ``c``.
+    ``neg_half_w`` is minus half the eigenvalues.  With t = tan(tau (-w/2))
+    and s = 2/(1 + t**2), the phase factor is exp(-i tau w) =
+    (1 + i t)/(1 - i t) = s - 1 + i t s; t**2 cannot overflow for a finite
+    argument.  The tangent runs in place on the contiguous float scratch,
+    t is copied into the imaginary view of the complex scratch and s is
+    formed over t, so only the last two writes are strided.  ``tiles``
+    walks the rows tile by tile, so the step allocates no array of the
+    shape of ``c``.
     """
     f = np.empty(len(c))
     coeff_dc = coeff_d.conj()
@@ -227,11 +230,12 @@ def _probe(c, tau, neg_half_w, coeff_d, tiles):
             ct, et, t = c[a:b], e[:b - a], h[:b - a]
             np.multiply(tau[a:b, None], neg_half_w, out=t)     # the half phase
             np.tan(t, out=t)
-            np.multiply(t, t, out=et.real)
-            et.real += 1.0
-            np.divide(2.0, et.real, out=et.real)                # s = 2/(1 + t**2)
-            np.multiply(t, et.real, out=et.imag)
-            et.real -= 1.0                                      # e = exp(-i tau w)
+            et.imag = t
+            t *= t
+            t += 1.0
+            np.divide(2.0, t, out=t)                            # s = 2/(1 + t**2)
+            et.imag *= t
+            np.subtract(t, 1.0, out=et.real)                    # e = exp(-i tau w)
             ct *= et
             amp = np.einsum("ij,j->i", ct, coeff_dc)
             np.multiply(amp[:, None], coeff_d, out=et)
