@@ -172,10 +172,9 @@ class _Tiles:
     ``run(fn, k)`` covers rows [0, k) with row tiles of ``TILE_ELEMS``
     amplitudes, split into contiguous ranges over at most ``_workers()``
     workers; ``fn(lo, hi, e, h)`` walks one range with the worker's
-    complex and float scratch.  The thread pool is
-    made at the first step with more than one tile and shut down when the
-    run leaves the ``with`` block.  ``threads`` is the most workers any
-    step used.
+    complex and float scratch.  The thread pool is made at the first step
+    with more than one tile and shut down when the run leaves the ``with``
+    block.  ``threads`` is the most workers any step used.
     """
 
     def __init__(self, m: int, n: int):

@@ -217,21 +217,17 @@ def test_dark_initial_state_per_realization_raises():
     assert ens.censored == 500 and len(ens.attempts) == 0
 
 
-def row_kernel(c, d):
-    return np.einsum("ij,j->i", c, d)
-
-
-def reference_probe(c, tau, neg_half_w, coeff_d, tiles=None, amplitude=row_kernel):
+def reference_probe(c, tau, neg_half_w, coeff_d, tiles=None):
     """The probe step written with temporaries over all rows at once: the
     half-angle phase from the tangent of the contiguous half phase, the
-    step's row kernel (or the BLAS gemv ``np.matmul``) for the amplitude
-    and the rank-one update as one product."""
+    step's row kernel for the amplitude and the rank-one update as one
+    product."""
     t = np.tan(tau[:, None] * neg_half_w[None, :])
     s = 2.0 / (1.0 + t * t)
     e = np.empty(c.shape, dtype=complex)
     e.real, e.imag = s - 1.0, t * s
     c *= e
-    amp = amplitude(c, coeff_d.conj())
+    amp = np.einsum("ij,j->i", c, coeff_d.conj())
     c -= amp[:, None] * coeff_d[None, :]
     return np.abs(amp) ** 2
 
