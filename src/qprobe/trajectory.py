@@ -25,9 +25,11 @@ and forms the rank-one projection in the complex buffer.  The tiles of a
 step are split into contiguous ranges over the CPUs the process may run
 on (``os.sched_getaffinity``): the calling thread takes one range and a
 per-run thread pool the rest, each worker with its own pair of scratch
-buffers.  A step that fits in one tile runs in the calling thread and
-starts no pool.  Sampling, the sums and the Bernoulli compaction stay in
-the calling thread.
+buffers.  Each worker takes at least two tiles, so a step of fewer than
+four tiles runs in the calling thread and starts no pool: a worker's
+hand-off costs about as much as one tile saves, and on a host whose
+CPUs are time-shared it can cost several tiles.  Sampling, the sums and
+the Bernoulli compaction stay in the calling thread.
 
 * ``bernoulli`` samples that attempt by inverse transform: one uniform v
   per realization, detection at the first n with F_1 + ... + F_n > v.
@@ -72,7 +74,7 @@ class TrajectoryEnsemble:
     per realization plus the ensemble mean and standard error of F_n;
     ``fn_records`` holds the full (n_real, n_cut) profile matrix when
     requested (test-scale runs only).  ``threads`` is the number of
-    workers that ran probe tiles (1 when every step fit in one tile).
+    workers that ran probe tiles (1 when no step had four tiles).
     """
 
     mode: str
@@ -170,18 +172,19 @@ class _Tiles:
     """The workers of one run and their tile-sized scratch buffers.
 
     ``run(fn, k)`` covers rows [0, k) with row tiles of ``TILE_ELEMS``
-    amplitudes, split into contiguous ranges over at most ``_workers()``
-    workers; ``fn(lo, hi, e, h)`` walks one range with the worker's
-    complex and float scratch.  The thread pool is made at the first step
-    with more than one tile and shut down when the run leaves the ``with``
-    block.  ``threads`` is the most workers any step used.
+    amplitudes, split into contiguous ranges of at least two tiles over at
+    most ``_workers()`` workers; ``fn(lo, hi, e, h)`` walks one range with
+    the worker's complex and float scratch.  The thread pool is made at
+    the first step that splits and shut down when the run leaves the
+    ``with`` block.  ``threads`` is the most workers any step used.
     """
 
     def __init__(self, m: int, n: int):
         self.rows = max(1, TILE_ELEMS // n)
         shape = (min(self.rows, m), n)
+        workers = max(1, min(_workers(), -(-m // self.rows) // 2))
         self.scratch = [(np.empty(shape, dtype=complex), np.empty(shape))
-                        for _ in range(min(_workers(), -(-m // self.rows)))]
+                        for _ in range(workers)]
         self.pool = None
         self.threads = 1
 
@@ -194,7 +197,7 @@ class _Tiles:
 
     def run(self, fn, k: int) -> None:
         n_tiles = -(-k // self.rows)
-        w = min(len(self.scratch), n_tiles)
+        w = max(1, min(len(self.scratch), n_tiles // 2))
         bounds = [min(k, i * n_tiles // w * self.rows) for i in range(w + 1)]
         if w > 1 and self.pool is None:
             from concurrent.futures import ThreadPoolExecutor

@@ -345,12 +345,14 @@ def test_probe_takes_tan_of_a_contiguous_buffer_and_allocates_no_c_sized_array(m
     assert peak < c.nbytes / 16
 
 
-@pytest.mark.parametrize("model, m", [(random_dense_model(6, seed=6), 10000),
-                                      (build_two_level(1.0), trajectory.DEFAULT_CHUNK)],
-                         ids=["dense6", "tls"])
-def test_small_n_steps_use_both_workers(monkeypatch, model, m):
-    # 2**15-amplitude tiles split 10 000 rows of 6 and a default chunk of
-    # two-level rows into two tiles, so two workers share one step
+@pytest.mark.parametrize("model, m, threads", [(random_dense_model(6, seed=6), 10000, 1),
+                                               (random_dense_model(6, seed=6), 20000, 2),
+                                               (build_two_level(1.0), trajectory.DEFAULT_CHUNK, 1)],
+                         ids=["dense6-two-tiles", "dense6-four-tiles", "tls-two-tiles"])
+def test_a_step_splits_only_with_two_tiles_a_worker(monkeypatch, model, m, threads):
+    # with two CPUs, 2**15-amplitude tiles cut 10 000 rows of 6 and a
+    # default chunk of two-level rows into two tiles, which stay on one
+    # worker; 20 000 rows of 6 make four tiles, two for each worker
     neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
     tau = ExponentialInterval(0.6).sample(np.random.default_rng(3), m)
 
@@ -363,7 +365,7 @@ def test_small_n_steps_use_both_workers(monkeypatch, model, m):
 
     f_one, c_one, threads_one = step(1)
     f_two, c_two, threads_two = step(2)
-    assert (threads_one, threads_two) == (1, 2)
+    assert (threads_one, threads_two) == (1, threads)
     assert np.array_equal(f_two, f_one) and np.array_equal(c_two, c_one)
 
 
@@ -454,13 +456,14 @@ def test_runs_are_bitwise_the_same_for_any_worker_count_and_tile(monkeypatch, mo
 
     b_one, p_one = runs(1, 1 << 12)
     assert b_one.threads == p_one.threads == 1
-    # 300-row tiles make two tiles of a 512-row chunk, so two workers run;
-    # three workers outnumber the cores of a small machine, and a short
-    # switch interval makes the workers interleave as often as they can
+    # 128-row tiles make four tiles of a 512-row chunk, and each worker
+    # takes at least two, so two of three workers run; three workers
+    # outnumber the cores of a small machine, and a short switch interval
+    # makes the workers interleave as often as they can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers, tile_rows, threads in [(1, 37, 1), (2, 37, 2), (3, 37, 3), (3, 300, 2)]:
+        for workers, tile_rows, threads in [(1, 37, 1), (2, 37, 2), (3, 37, 3), (3, 128, 2)]:
             b, p = runs(workers, tile_rows)
             assert b.threads == p.threads == p.summary()["threads"] == threads
             assert b.censored == b_one.censored
