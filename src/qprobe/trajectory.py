@@ -219,9 +219,9 @@ def _probe(c, tau, neg_half_w, coeff_d, tiles):
     (1 + i t)/(1 - i t) = s - 1 + i t s; t**2 cannot overflow for a finite
     argument.  The tangent runs in place on the contiguous float scratch,
     t is copied into the imaginary view of the complex scratch and s is
-    formed over t, so only the last two writes are strided.  ``tiles``
-    walks the rows tile by tile, so the step allocates no array of the
-    shape of ``c``.
+    formed over t, so only that copy and the two writes of e touch
+    strided views.  ``tiles`` walks the rows tile by tile, so the step
+    allocates no array of the shape of ``c``.
     """
     f = np.empty(len(c))
     coeff_dc = coeff_d.conj()
