@@ -13,7 +13,6 @@ closed-form divergence, an eigenvalue iteration that fails its check),
 memory budget and on a moment that overflows a double (an interval
 scale too large for the model).
 Every input is checked, and --out created, before the computation.
-Sweeps run serially; a non-integer QPROBE_THREADS is a configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 import time
 
@@ -37,15 +35,6 @@ from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
 from .verify import run_verify
 
 SWEEP_OUTPUTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq", "lambda_max")
-
-
-def _check_threads_env() -> None:
-    """Reject a non-integer QPROBE_THREADS; sweeps run serially, within any cap."""
-    raw = os.environ.get("QPROBE_THREADS", "").strip()
-    try:
-        int(raw or 0)
-    except ValueError:
-        raise ConfigError(f"QPROBE_THREADS must be an integer, got {raw!r}") from None
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -217,7 +206,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("alpha axis requires dist=gamma")
     key = "alpha" if args.axis == "alpha" else "tau" if cfg.get("dist") == "fixed" else "mean"
     points = [(v, cfgmod.distribution_from_config({**cfg, key: str(v)})) for v in grid]
-    _check_threads_env()
     with _opened_out(args.out) as fh:
         rows = run_sweep(sd, args.axis, points, outputs, args.pseudo_inverse)
         _emit(fh, args.format, {"config": cfg, "rows": rows},
