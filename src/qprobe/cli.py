@@ -48,13 +48,17 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean", type=float, help="mean interval")
     p.add_argument("--alpha", type=float, help="gamma shape parameter")
     p.add_argument("--seed", type=int, help="rng seed (unsigned 64-bit)")
-    p.add_argument("--degeneracy-tol", type=float, default=None,
-                   help="energy clustering tolerance (default 1e-9)")
+    p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL,
+                   help="energy clustering tolerance (default %(default)g), raised to "
+                        "eigh's error bound 8 N eps max|E| where that is larger")
     p.add_argument("--pseudo-inverse", action="store_true",
                    help="use a truncated-SVD pseudo-inverse on singular solves")
 
 
 def _merged_config(args) -> dict[str, str]:
+    """The config file with the flags laid over it.  The inputs every
+    subcommand shares (``seed`` and --degeneracy-tol) are checked here,
+    before any solve and before --out is opened."""
     file_cfg = cfgmod.load_config_file(args.model) if args.model else {}
     overrides = {
         "L": args.L, "gamma": args.gamma, "x_in": args.xin, "x_d": args.xd,
@@ -64,6 +68,8 @@ def _merged_config(args) -> dict[str, str]:
     cfg = cfgmod.merge_overrides(file_cfg, overrides)
     if "kind" not in cfg and "L" in cfg:
         cfg["kind"] = "ring"
+    cfgmod.seed_from_config(cfg)
+    _positive("--degeneracy-tol", args.degeneracy_tol)
     return cfg
 
 
@@ -82,9 +88,7 @@ def _array_length(flag: str, n: int) -> int:
 
 
 def _reduce_from_args(args, cfg):
-    tol = (DEFAULT_DEGENERACY_TOL if args.degeneracy_tol is None
-           else _positive("--degeneracy-tol", args.degeneracy_tol))
-    return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=tol)
+    return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=args.degeneracy_tol)
 
 
 @contextlib.contextmanager
@@ -143,9 +147,9 @@ def cmd_stats(args) -> int:
 
 def cmd_fn(args) -> int:
     cfg = _merged_config(args)
-    sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
     nmax = _array_length("--nmax", _positive("--nmax", args.nmax))
+    sd = _reduce_from_args(args, cfg)
     with _opened_out(args.out) as fh:
         series = fn_series(build_superops(sd, dist), nmax)
         series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
@@ -186,7 +190,6 @@ def run_sweep(sd, axis: str, points, outputs, pseudo_inverse: bool) -> list[dict
 
 def cmd_sweep(args) -> int:
     cfg = _merged_config(args)
-    sd = _reduce_from_args(args, cfg)
     try:
         grid = [float(x) for x in args.grid.replace(",", " ").split()]
     except ValueError:
@@ -206,6 +209,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("alpha axis requires dist=gamma")
     key = "alpha" if args.axis == "alpha" else "tau" if cfg.get("dist") == "fixed" else "mean"
     points = [(v, cfgmod.distribution_from_config({**cfg, key: str(v)})) for v in grid]
+    sd = _reduce_from_args(args, cfg)
     with _opened_out(args.out) as fh:
         rows = run_sweep(sd, args.axis, points, outputs, args.pseudo_inverse)
         _emit(fh, args.format, {"config": cfg, "rows": rows},

@@ -198,19 +198,26 @@ def spectral_reduce(model: QuantumModel,
     which makes the output independent of the arbitrary eigenvector
     phases and of the basis chosen inside degenerate clusters.  Each field
     sums the ``spectral_full`` one over a cluster (energies: the mean).
+
+    Clusters are formed at no finer than 8 N eps max|E|, LAPACK's bound on
+    the error of ``eigh``'s eigenvalues: at a large energy scale an absolute
+    ``degeneracy_tol`` would split degenerate levels into separate bright
+    ones.  The tolerance used is stored in the result.
     """
     if not 0 < degeneracy_tol < np.inf:
         raise ValueError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
     full = spectral_full(model)
-    starts = _cluster_starts(full.energies, degeneracy_tol)
+    w = full.energies
+    tol = max(degeneracy_tol, 8 * len(w) * np.finfo(float).eps * float(np.max(np.abs(w))))
+    starts = _cluster_starts(w, tol)
     p = np.add.reduceat(full.p_detect, starts)
     keep = p > dark_tol
     if not keep.any():
         raise DegenerateProblemError(
             "detection state has no overlap with any energy eigenspace")
     p = p[keep]
-    sizes = np.diff(starts, append=len(full.energies))
-    energies = np.add.reduceat(full.energies, starts) / sizes
+    sizes = np.diff(starts, append=len(w))
+    energies = np.add.reduceat(w, starts) / sizes
     amp = np.add.reduceat(full.cross_amp, starts)[keep]
     comp_d = full.bright.conj().T @ model.psi_d          # <E_j|psi_d>
     bright = np.add.reduceat(full.bright * comp_d, starts, axis=1)[:, keep]
@@ -220,7 +227,7 @@ def spectral_reduce(model: QuantumModel,
         p_init=np.abs(amp) ** 2 / p,
         cross_amp=amp,
         bright=bright / np.sqrt(p),
-        degeneracy_tol=degeneracy_tol,
+        degeneracy_tol=tol,
         reduced=True,
         label=model.label,
     )

@@ -430,6 +430,11 @@ def test_cli_verify_quick_in_process(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_run_verify_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="level must be 'quick' or 'full', got 'medium'"):
+        verify.run_verify("medium")
+
+
 def test_cli_verify_names_a_check_that_raises(monkeypatch, capsys):
     # a QprobeError fails its own check; the checks after it still run
     def census_fails():
@@ -505,7 +510,7 @@ def test_cli_invalid_argument_exits_two(capsys, argv):
     ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "10000000000000",
      "--mode", "per_realization"],
 ], ids=["fn-nmax", "mc-ncut", "mc-nreal-bernoulli", "mc-nreal-per_realization"])
-def test_cli_oversized_count_exits_two_before_out(tmp_path, capsys, no_compute, argv):
+def test_cli_oversized_count_exits_two_before_out(tmp_path, capsys, no_solve, argv):
     # one float64 array of 10^13 entries is far over the 1 GiB budget
     out = tmp_path / "x.csv"
     rc = cli.main([*argv, "--out", str(out)])
@@ -551,6 +556,15 @@ def no_compute(monkeypatch):
         monkeypatch.setattr(cli, name, reached)
 
 
+@pytest.fixture
+def no_solve(monkeypatch, no_compute):
+    """``no_compute``, and the model's eigendecomposition fails too: for the
+    inputs checked before any solve."""
+    def reached(*args, **kwargs):
+        raise AssertionError("spectral_reduce reached before the inputs were checked")
+    monkeypatch.setattr(cli, "spectral_reduce", reached)
+
+
 @pytest.mark.parametrize("argv", [
     ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "3"],
     ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5", "--n-abort", "10"],
@@ -563,6 +577,39 @@ def test_cli_unwritable_out_exits_two(tmp_path, capsys, no_compute, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, expect", [
+    (["--seed", "-5"], "seed must fit in unsigned 64 bits, got -5"),
+    (["--seed", str(2**64)], f"seed must fit in unsigned 64 bits, got {2**64}"),
+    (["--degeneracy-tol", "-1"], "--degeneracy-tol must be positive and finite, got -1.0"),
+    (["--degeneracy-tol", "nan"], "--degeneracy-tol must be positive and finite, got nan"),
+], ids=["seed-negative", "seed-2^64", "tol-negative", "tol-nan"])
+@pytest.mark.parametrize("argv", [
+    ["stats", *RING7, "--dist", "exp", "--mean", "0.6"],
+    ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "3"],
+    ["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau", "--grid", "0.5,1"],
+    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5"],
+], ids=["stats", "fn", "sweep", "mc"])
+def test_cli_shared_flags_checked_on_every_subcommand(tmp_path, capsys, no_solve,
+                                                      argv, flags, expect):
+    out = tmp_path / "x.csv"
+    if argv[0] != "stats":
+        argv = [*argv, "--out", str(out)]
+    assert cli.main([*argv, *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {expect}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["1e11", "1e12", "1e300"])
+def test_cli_stats_at_a_large_hopping_matches_unit_hopping(capsys, gamma):
+    # eigh splits degenerate ring pairs by a few eps max|E|, far over 1e-9 here
+    argv = ["stats", "--L", "7", "--xin", "1", "--xd", "0", "--dist", "exp", "--mean", "0.6"]
+    assert cli.main([*argv, "--gamma", gamma]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reduced_dim"] == 4
+    assert doc["stats"]["p_det"] == pytest.approx(0.5, abs=1e-12)
+    assert doc["stats"]["n_mean"] == pytest.approx(17 / 4, rel=1e-12)
 
 
 # ring 4, psi_in = (|1> - |3>)/sqrt(2) is antisymmetric about the detector
@@ -628,7 +675,7 @@ def test_cli_ring_infinite_hopping_exits_two(capsys):
     assert capsys.readouterr().err == "error: hamiltonian has a non-finite entry\n"
 
 
-def test_cli_sweep_non_finite_grid_fails_before_compute(capsys, no_compute):
+def test_cli_sweep_non_finite_grid_fails_before_compute(capsys, no_solve):
     rc = cli.main(["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau",
                    "--grid", "0.5,inf"])
     assert rc == 2
@@ -673,7 +720,7 @@ SWEEP7 = ["sweep", *RING7, "--dist", "exp", "--mean", "0.6", "--axis", "mean_tau
     ([*SWEEP7, "--grid", "1,2", "--outputs", "foo"],
      "config error: unknown sweep outputs: ['foo']"),
 ], ids=["grid-a,b", "grid-comma", "grid-0,1", "outputs-foo"])
-def test_cli_sweep_bad_grid_or_outputs_exits_two(capsys, no_compute, argv, expect):
+def test_cli_sweep_bad_grid_or_outputs_exits_two(capsys, no_solve, argv, expect):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == expect + "\n"
 

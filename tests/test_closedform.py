@@ -32,6 +32,8 @@ def test_case_classification():
     assert folded.x_d == 2 and folded.tag is RingCaseTag.EVEN_ARRIVAL
     assert not classify_ring_case(16, 5).conjectural
     assert classify_ring_case(17, 5).conjectural
+    with pytest.raises(ValueError, match="ring needs L >= 2, got 1"):
+        classify_ring_case(1, 0)
 
 
 def test_nbar_frozen_values():
@@ -145,6 +147,11 @@ def test_tls_divergence_at_exceptional_interval():
         tls_stats("return", FixedInterval(np.pi), 1.0)
     with pytest.raises(DivergenceError):
         tls_stats("arrival", FixedInterval(2 * np.pi), 1.0)
+
+
+def test_tls_stats_rejects_an_unknown_problem():
+    with pytest.raises(ValueError, match="problem must be 'return' or 'arrival', got 'both'"):
+        tls_stats("both", ExponentialInterval(0.6), 1.0)
 
 
 def test_zeno_limit_constant_on_ring():

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from qprobe.config import distribution_from_config
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 
 DELTAS = [-7.3, -2.0, -0.4, 0.0, 0.4, 2.0, 7.3]
@@ -193,6 +194,13 @@ def test_fixed_sampling_is_constant():
     rng = np.random.default_rng(0)
     assert d.sample(rng) == 0.6
     assert np.all(d.sample(rng, 17) == 0.6)
+
+
+@pytest.mark.parametrize("law", [FixedInterval(0.7), ExponentialInterval(0.6),
+                                 GammaInterval(2.5, 0.6), GammaInterval(1.0, 1e-3 / 3)])
+def test_config_items_rebuild_the_law(law):
+    items = law.config_items()
+    assert distribution_from_config({k: str(v) for k, v in items.items()}) == law
 
 
 def test_invalid_parameters_rejected():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qprobe.closedform import ring_nbar_exp
 from qprobe.errors import DegenerateProblemError, InvalidModelError
+from qprobe.intervals import ExponentialInterval
 from qprobe.model import (QuantumModel, basis_state, build_dense, build_ring,
                           build_two_level, spectral_full, spectral_reduce)
+from qprobe.superop import build_superops, detection_stats
 
 
 def ring_energies(L, gamma):
@@ -68,6 +71,18 @@ def test_model_validation():
     h = np.zeros((2, 2))
     with pytest.raises(InvalidModelError):
         QuantumModel(h, 2.0 * basis_state(2, 0), basis_state(2, 1))
+    with pytest.raises(InvalidModelError, match="psi_d is not normalized"):
+        QuantumModel(h, basis_state(2, 0), 2.0 * basis_state(2, 1))
+    with pytest.raises(InvalidModelError, match=r"must be square, got shape \(2, 3\)"):
+        QuantumModel(np.zeros((2, 3)), basis_state(2, 0), basis_state(2, 1))
+    with pytest.raises(InvalidModelError, match="must match the Hamiltonian dimension"):
+        QuantumModel(h, basis_state(3, 0), basis_state(2, 1))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+def test_two_level_rejects_non_positive_hopping(gamma):
+    with pytest.raises(InvalidModelError, match="hopping strength must be positive"):
+        build_two_level(gamma)
 
 
 @pytest.mark.parametrize("where", ["hamiltonian", "psi_in", "psi_d"])
@@ -196,6 +211,27 @@ def test_clusters_anchor_at_lowest_eigenvalue():
     sd = spectral_reduce(build_dense(h, psi_d, psi_d), degeneracy_tol=1e-9)
     assert sd.reduced_dim == 4
     assert np.allclose(sd.energies, [0.3e-9, 1.2e-9, 1.0, 2.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:ring closed form")   # L > 16 is conjectural
+@pytest.mark.parametrize("L, x_in, nr", [(7, 1, 4), (24, 12, 13), (40, 7, 21)])
+def test_large_energy_scales_reduce_like_unit_hopping(L, x_in, nr):
+    # eigh resolves a degenerate pair only to a few eps max|E|, so at gamma >= 1e11
+    # the absolute 1e-9 tolerance alone split ring pairs into separate bright levels
+    dist = ExponentialInterval(0.6)
+    p_det = {}
+    for gamma in (1.0, 1e11, 1e20, 1e150, 1e300):
+        sd = spectral_reduce(build_ring(L, gamma, x_in, 0))
+        assert sd.reduced_dim == nr, gamma
+        # the tolerance is 1e-9 at unit hopping and 8 N eps max|E| (max|E| = 2 gamma) above it
+        floor = 8 * L * np.finfo(float).eps * 2 * gamma
+        assert sd.degeneracy_tol == (1e-9 if gamma == 1.0 else pytest.approx(floor, rel=1e-12))
+        stats = detection_stats(build_superops(sd, dist), dist)
+        p_det[gamma] = stats.p_det
+        if gamma <= 1e150:                     # the closed form squares gamma
+            nbar = ring_nbar_exp(L, x_in, gamma, 0.6)
+            assert stats.n_mean == pytest.approx(nbar, rel=1e-9), gamma
+    assert max(abs(p - p_det[1.0]) for p in p_det.values()) < 1e-12
 
 
 def test_all_dark_detection_raises():

@@ -134,6 +134,12 @@ def test_fn_series_rejects_bad_nmax():
         fn_series(sset, 0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+def test_zero_mode_census_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        zero_mode_census(tls_superops(ExponentialInterval(0.6)), tol=tol)
+
+
 def test_l24_exponential_and_fixed_headline_numbers():
     sd = spectral_reduce(build_ring(24, 1.0, 12, 0))
     dist = ExponentialInterval(0.6)
@@ -442,6 +448,15 @@ def test_exceptional_interval_raises_with_diagnostics():
     assert err.condition > 1e12
     assert any(mag > 1 - 1e-9 for (_, _, mag) in err.pairs)
     assert (0, 1, pytest.approx(1.0)) in [(i, j, m) for i, j, m in err.pairs]
+
+
+def test_ill_conditioned_message_lists_eight_pairs_and_the_total():
+    pairs = [(i, i + 1, 1.0 - 1e-3 * i) for i in range(10)]
+    err = IllConditionedError(1e17, pairs, p_min=1e-13, p_min_index=4)
+    message = str(err)
+    assert message.count("|phi|=") == 8
+    assert "(7,8) |phi|=0.993000000000, ... (10 pairs total)]" in message
+    assert message.endswith("; smallest detection weight p[4] = 1.000e-13")
 
 
 def test_exceptional_fixed_period_names_only_resonant_pair():

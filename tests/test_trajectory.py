@@ -181,10 +181,15 @@ def test_argument_validation():
     dist = ExponentialInterval(0.6)
     with pytest.raises(ValueError):
         run_bernoulli(model, dist, n_real=10, seed=1, n_abort=0)
+    with pytest.raises(ValueError, match="n_real must be >= 1, got 0"):
+        run_bernoulli(model, dist, n_real=0, seed=1)
     with pytest.raises(ValueError):
         run_per_realization(model, dist, n_real=10, n_cut=1, seed=1)
     with pytest.raises(ValueError):
         run_per_realization(model, dist, n_real=0, n_cut=5, seed=1)
+    ens = run_per_realization(model, dist, n_real=10, n_cut=5, seed=1)
+    with pytest.raises(ValueError, match="only defined for bernoulli mode"):
+        ens.attempt_fn_estimate(5)
 
 
 @pytest.mark.parametrize("L, n_abort", [(5, 300), (6, 200)])
