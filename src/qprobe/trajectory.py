@@ -9,27 +9,28 @@ processed in vectorized chunks.
 
 Both modes share one probe step.  The amplitude is never renormalized,
 so F_n = |<psi_d|c>|**2 is the probability, given the intervals, that
-the first detection happens at probe n.  The step walks the realizations
-in row tiles of ``TILE_ELEMS`` amplitudes (2**15: 0.5 MB of complex and
-0.25 MB of float scratch, within L2).  On a tile it writes the half
-phase tau (x) (-w/2) into a C-contiguous float buffer and takes its
-tangent t in place; the phase factor is then exp(-i tau w) =
-(1 + i t)/(1 - i t), whose real part 2/(1 + t**2) - 1 and imaginary part
-t 2/(1 + t**2) go into the views of a complex buffer.  numpy vectorizes
-the float64 tangent of a contiguous array (AVX-512) but not cos and sin,
-so one tangent and a few multiplies cost well under the two libm calls;
-the buffer is contiguous because a strided view such as ``e.imag`` takes
+the first detection happens at probe n.  The step writes the half phase
+tau (x) (-w/2) into a C-contiguous float buffer and takes its tangent t
+in place; the phase factor is then exp(-i tau w) = (1 + i t)/(1 - i t),
+whose real part 2/(1 + t**2) - 1 and imaginary part t 2/(1 + t**2) go
+into the views of a complex buffer.  numpy vectorizes the float64
+tangent of a contiguous array (AVX-512) but not cos and sin, so one
+tangent and a few multiplies cost well under the two libm calls; the
+buffer is contiguous because a strided view such as ``e.imag`` takes
 another ``tan`` loop, twice as slow.  The step takes the amplitude with a
-row kernel (``einsum``, no BLAS, so no BLAS thread spins between tiles)
-and forms the rank-one projection in the complex buffer.  The tiles of a
-step are split into contiguous ranges over the CPUs the process may run
-on (``os.sched_getaffinity``): the calling thread takes one range and a
-per-run thread pool the rest, each worker with its own pair of scratch
-buffers.  Each worker takes at least two tiles, so a step of fewer than
-four tiles runs in the calling thread and starts no pool: a worker's
-hand-off costs about as much as one tile saves, and on a host whose
-CPUs are time-shared it can cost several tiles.  Sampling, the sums and
-the Bernoulli compaction stay in the calling thread.
+row kernel (``einsum``, no BLAS, so no BLAS thread spins beside the
+workers) and forms the rank-one projection in the complex buffer.
+
+The realization chunk is the unit of work, of randomness and of cache:
+by default a chunk holds ``TILE_ELEMS`` amplitudes (2**15 complex, 0.5
+MB, and 0.25 MB of float scratch, within L2).  A per-run thread pool of
+one worker per CPU the process may run on (``os.sched_getaffinity``, at
+most one per chunk) takes whole chunks and runs every probe of a chunk
+with its own scratch: the whole bernoulli attempt loop with its live-set
+compaction, or all ``n_cut`` profile steps.  The calling thread folds
+the chunks' partial results in chunk order, keeping at most two chunks a
+worker in flight, so memory does not grow with the ensemble beyond the
+per-realization records.
 
 * ``bernoulli`` samples that attempt by inverse transform: one uniform v
   per realization, detection at the first n with F_1 + ... + F_n > v.
@@ -39,19 +40,19 @@ the Bernoulli compaction stay in the calling thread.
   together with its mean attempt number nbar = sum(n F_n)/sum(F_n).
   Ensemble averages of F_n estimate the distribution-averaged series.
 
-Reproducibility: realizations are split into fixed-size chunks and each
-chunk gets its own counter-based generator spawned deterministically from
-the seed, so results are bit-identical for a given seed no matter how
-chunks would be scheduled.  Every operation of the step is elementwise or
-per row, and the contiguous tangent gives the same bits at any offset
-and length, so they are also bit-identical for any worker count or tile
-boundary.  Across machines the last bits follow numpy's dispatch of
-``tan`` (AVX-512 or not).
+Reproducibility: chunk i draws from its own counter-based generator,
+child i of the seed's ``SeedSequence``, and every operation of a chunk is
+elementwise or per row, so the records are bit-identical for a given
+seed and chunk size; the partial sums are folded in chunk order, so the
+estimates are bit-identical for any worker count as well.  Across
+machines the last bits follow numpy's dispatch of ``tan`` (AVX-512 or
+not).
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,6 @@ from .errors import DegenerateProblemError
 from .intervals import IntervalDistribution
 from .model import PDET_FLOOR, QuantumModel
 
-DEFAULT_CHUNK = 1 << 15
 DEFAULT_ABORT = 10**6
 TILE_ELEMS = 1 << 15
 
@@ -74,7 +74,7 @@ class TrajectoryEnsemble:
     per realization plus the ensemble mean and standard error of F_n;
     ``fn_records`` holds the full (n_real, n_cut) profile matrix when
     requested (test-scale runs only).  ``threads`` is the number of
-    workers that ran probe tiles (1 when no step had four tiles).
+    workers that ran chunks: one per CPU, at most one per chunk.
     """
 
     mode: str
@@ -156,11 +156,15 @@ def _eigenphase_setup(model: QuantumModel):
 
 
 def _chunk_generators(seed: int, n_real: int, chunk: int):
-    n_chunks = (n_real + chunk - 1) // chunk
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [chunk] * (n_chunks - 1) + [n_real - chunk * (n_chunks - 1)]
-    return [(np.random.Generator(np.random.Philox(c)), m)
-            for c, m in zip(children, sizes)]
+    """Yield (generator, rows) of each chunk, made only when it is reached.
+
+    Chunk i draws from ``SeedSequence(seed).spawn(n)[i]``, built here from
+    the root's entropy and spawn key (i,) without spawning the others.
+    """
+    root = np.random.SeedSequence(seed)
+    for i, lo in enumerate(range(0, n_real, chunk)):
+        child = np.random.SeedSequence(root.entropy, spawn_key=(i,))
+        yield np.random.Generator(np.random.Philox(child)), min(chunk, n_real - lo)
 
 
 def _workers() -> int:
@@ -168,89 +172,73 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Tiles:
-    """The workers of one run and their tile-sized scratch buffers.
+def _run_chunks(work, seed: int, n_real: int, chunk: int, n: int, workers: int):
+    """Yield ``work(rng, m, e, h)`` of every chunk, in chunk order.
 
-    ``run(fn, k)`` covers rows [0, k) with row tiles of ``TILE_ELEMS``
-    amplitudes, split into contiguous ranges of at least two tiles over at
-    most ``_workers()`` workers; ``fn(lo, hi, e, h)`` walks one range with
-    the worker's complex and float scratch.  The thread pool is made at
-    the first step that splits and shut down when the run leaves the
-    ``with`` block.  ``threads`` is the most workers any step used.
+    ``workers`` threads run the chunks, each call with one complex and one
+    float scratch buffer of ``chunk`` rows of ``n`` that no other running
+    call holds.  At most two chunks a worker are in flight, so results are
+    folded as they come; the pool ends with the generator.
     """
+    shape = (min(chunk, n_real), n)
+    scratch = [(np.empty(shape, dtype=complex), np.empty(shape)) for _ in range(workers)]
 
-    def __init__(self, m: int, n: int):
-        self.rows = max(1, TILE_ELEMS // n)
-        shape = (min(self.rows, m), n)
-        workers = max(1, min(_workers(), -(-m // self.rows) // 2))
-        self.scratch = [(np.empty(shape, dtype=complex), np.empty(shape))
-                        for _ in range(workers)]
-        self.pool = None
-        self.threads = 1
+    def job(rng, m):
+        pair = scratch.pop()          # at most ``workers`` jobs run at once
+        try:
+            return work(rng, m, *pair)
+        finally:
+            scratch.append(pair)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def run(self, fn, k: int) -> None:
-        n_tiles = -(-k // self.rows)
-        w = max(1, min(len(self.scratch), n_tiles // 2))
-        bounds = [min(k, i * n_tiles // w * self.rows) for i in range(w + 1)]
-        if w > 1 and self.pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self.pool = ThreadPoolExecutor(len(self.scratch) - 1)
-        futures = [self.pool.submit(fn, bounds[i], bounds[i + 1], *self.scratch[i])
-                   for i in range(1, w)]
-        fn(bounds[0], bounds[1], *self.scratch[0])
-        for fut in futures:
-            fut.result()
-        self.threads = max(self.threads, w)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        window = deque()
+        for rng, m in _chunk_generators(seed, n_real, chunk):
+            window.append(pool.submit(job, rng, m))
+            if len(window) >= 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
-def _probe(c, tau, neg_half_w, coeff_d, tiles):
+def _probe(c, tau, neg_half_w, coeff_d, e, h):
     """Evolve row i of ``c`` (eigenbasis amplitudes) for ``tau[i]``, project
     psi_d out in place and return F = |<psi_d|c>|**2 before the projection.
 
     ``neg_half_w`` is minus half the eigenvalues.  With t = tan(tau (-w/2))
     and s = 2/(1 + t**2), the phase factor is exp(-i tau w) =
     (1 + i t)/(1 - i t) = s - 1 + i t s; t**2 cannot overflow for a finite
-    argument.  The tangent runs in place on the contiguous float scratch,
-    t is copied into the imaginary view of the complex scratch and s is
-    formed over t, so only that copy and the two writes of e touch
-    strided views.  ``tiles`` walks the rows tile by tile, so the step
-    allocates no array of the shape of ``c``.
+    argument.  ``e`` (complex) and ``h`` (float) are scratch of at least
+    ``len(c)`` rows.  The tangent runs in place on the contiguous float
+    scratch, t is copied into the imaginary view of the complex scratch and
+    s is formed over t, so only that copy and the two writes of e touch
+    strided views, and the step allocates no array of the shape of ``c``.
     """
-    f = np.empty(len(c))
-    coeff_dc = coeff_d.conj()
+    et, t = e[:len(c)], h[:len(c)]
+    np.multiply(tau[:, None], neg_half_w, out=t)            # the half phase
+    np.tan(t, out=t)
+    et.imag = t
+    t *= t
+    t += 1.0
+    np.divide(2.0, t, out=t)                                # s = 2/(1 + t**2)
+    et.imag *= t
+    np.subtract(t, 1.0, out=et.real)                        # e = exp(-i tau w)
+    c *= et
+    amp = np.einsum("ij,j->i", c, coeff_d.conj())
+    np.multiply(amp[:, None], coeff_d, out=et)
+    c -= et
+    return np.abs(amp) ** 2
 
-    def walk(lo, hi, e, h):
-        for a in range(lo, hi, tiles.rows):
-            b = min(a + tiles.rows, hi)
-            ct, et, t = c[a:b], e[:b - a], h[:b - a]
-            np.multiply(tau[a:b, None], neg_half_w, out=t)     # the half phase
-            np.tan(t, out=t)
-            et.imag = t
-            t *= t
-            t += 1.0
-            np.divide(2.0, t, out=t)                            # s = 2/(1 + t**2)
-            et.imag *= t
-            np.subtract(t, 1.0, out=et.real)                    # e = exp(-i tau w)
-            ct *= et
-            amp = np.einsum("ij,j->i", ct, coeff_dc)
-            np.multiply(amp[:, None], coeff_d, out=et)
-            ct -= et
-            f[a:b] = np.abs(amp) ** 2
 
-    tiles.run(walk, len(c))
-    return f
+def _plan(n_real: int, chunk: int | None, n: int) -> tuple[int, int]:
+    """Chunk rows (``TILE_ELEMS`` amplitudes unless given) and workers."""
+    chunk = max(1, TILE_ELEMS // n) if chunk is None else chunk
+    return chunk, min(_workers(), -(-n_real // chunk))
 
 
 def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
                   n_real: int, seed: int, n_abort: int = DEFAULT_ABORT,
-                  chunk: int = DEFAULT_CHUNK) -> TrajectoryEnsemble:
+                  chunk: int | None = None) -> TrajectoryEnsemble:
     """Sample the first-detection attempt by inverse transform.
 
     Each realization draws one uniform v before any interval and is
@@ -260,82 +248,93 @@ def run_bernoulli(model: QuantumModel, dist: IntervalDistribution,
     undetected after ``n_abort`` probes are censored.  A realization with
     v above its total detection probability runs all ``n_abort`` probes,
     so models with dark overlap should use a moderate ``n_abort``.
+    ``chunk`` is the rows of a chunk (``None``: ``TILE_ELEMS`` amplitudes).
     """
     if n_abort < 1:
         raise ValueError(f"n_abort must be >= 1, got {n_abort}")
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
     neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
+    chunk, workers = _plan(n_real, chunk, len(neg_half_w))
+
+    def work(rng, m, e, h):
+        v = rng.random(m)
+        c = np.tile(coeff_in, (m, 1))
+        live, cum, t_live = np.arange(m), np.zeros(m), np.zeros(m)
+        attempt, t_acc = np.zeros(m, dtype=np.int64), np.zeros(m)
+        for n in range(1, n_abort + 1):
+            tau = np.atleast_1d(dist.sample(rng, len(live)))
+            t_live += tau
+            cum += _probe(c, tau, neg_half_w, coeff_d, e, h)
+            hit = cum > v
+            if not hit.any():
+                continue
+            attempt[live[hit]] = n
+            t_acc[live[hit]] = t_live[hit]
+            keep = ~hit
+            live, c, cum, v, t_live = live[keep], c[keep], cum[keep], v[keep], t_live[keep]
+            if not len(live):
+                break
+        return attempt[attempt > 0], t_acc[attempt > 0], len(live)
+
     attempts_all, times_all = [], []
     censored = 0
-    with _Tiles(min(chunk, n_real), len(neg_half_w)) as tiles:
-        for rng, m in _chunk_generators(seed, n_real, chunk):
-            v = rng.random(m)
-            c = np.tile(coeff_in, (m, 1))
-            live, cum, t_live = np.arange(m), np.zeros(m), np.zeros(m)
-            attempt, t_acc = np.zeros(m, dtype=np.int64), np.zeros(m)
-            for n in range(1, n_abort + 1):
-                tau = np.atleast_1d(dist.sample(rng, len(live)))
-                t_live += tau
-                cum += _probe(c, tau, neg_half_w, coeff_d, tiles)
-                hit = cum > v
-                if not hit.any():
-                    continue
-                attempt[live[hit]] = n
-                t_acc[live[hit]] = t_live[hit]
-                keep = ~hit
-                live, c, cum, v, t_live = live[keep], c[keep], cum[keep], v[keep], t_live[keep]
-                if not len(live):
-                    break
-            censored += len(live)
-            attempts_all.append(attempt[attempt > 0])
-            times_all.append(t_acc[attempt > 0])
+    for attempts, times, n_live in _run_chunks(work, seed, n_real, chunk,
+                                               len(neg_half_w), workers):
+        attempts_all.append(attempts)
+        times_all.append(times)
+        censored += n_live
     return TrajectoryEnsemble(
         mode="bernoulli", n_real=n_real, seed=seed, n_abort=n_abort,
         attempts=np.concatenate(attempts_all), times=np.concatenate(times_all),
-        censored=censored, threads=tiles.threads,
+        censored=censored, threads=workers,
     )
 
 
 def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
                         n_real: int, n_cut: int, seed: int,
                         keep_fn: bool = False,
-                        chunk: int = DEFAULT_CHUNK) -> TrajectoryEnsemble:
+                        chunk: int | None = None) -> TrajectoryEnsemble:
     """Deterministic detection profile of each sampled interval sequence.
 
     Every realization is propagated for exactly ``n_cut`` probes without
     collapsing, recording F_n at each probe.  ``keep_fn`` stores the full
     profile matrix, which costs n_real * n_cut floats; leave it off for
-    large ensembles.
+    large ensembles.  ``chunk`` is as in ``run_bernoulli``.
     """
     if n_cut < 2:
         raise ValueError(f"n_cut must be >= 2, got {n_cut}")
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
     neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
+    chunk, workers = _plan(n_real, chunk, len(neg_half_w))
+
+    def work(rng, m, e, h):
+        c = np.tile(coeff_in, (m, 1))
+        fn_part, fn_sq_part = np.empty(n_cut), np.empty(n_cut)
+        sum_f, sum_nf = np.zeros(m), np.zeros(m)
+        rec = np.empty((m, n_cut)) if keep_fn else None
+        for n in range(1, n_cut + 1):
+            tau = np.atleast_1d(dist.sample(rng, m))
+            f = _probe(c, tau, neg_half_w, coeff_d, e, h)
+            fn_part[n - 1] = f.sum()
+            fn_sq_part[n - 1] = (f * f).sum()
+            sum_f += f
+            sum_nf += n * f
+            if keep_fn:
+                rec[:, n - 1] = f
+        return fn_part, fn_sq_part, sum_f, sum_nf, rec
+
     fn_sum = np.zeros(n_cut)
     fn_sq_sum = np.zeros(n_cut)
-    nf_all, pdet_all = [], []
-    records = [] if keep_fn else None
-    with _Tiles(min(chunk, n_real), len(neg_half_w)) as tiles:
-        for rng, m in _chunk_generators(seed, n_real, chunk):
-            c = np.tile(coeff_in, (m, 1))
-            sum_f = np.zeros(m)
-            sum_nf = np.zeros(m)
-            rec = np.empty((m, n_cut)) if keep_fn else None
-            for n in range(1, n_cut + 1):
-                tau = np.atleast_1d(dist.sample(rng, m))
-                f = _probe(c, tau, neg_half_w, coeff_d, tiles)
-                fn_sum[n - 1] += f.sum()
-                fn_sq_sum[n - 1] += (f * f).sum()
-                sum_f += f
-                sum_nf += n * f
-                if keep_fn:
-                    rec[:, n - 1] = f
-            nf_all.append(sum_nf)
-            pdet_all.append(sum_f)
-            if keep_fn:
-                records.append(rec)
+    nf_all, pdet_all, records = [], [], []
+    for fn_part, fn_sq_part, sum_f, sum_nf, rec in _run_chunks(
+            work, seed, n_real, chunk, len(neg_half_w), workers):
+        fn_sum += fn_part
+        fn_sq_sum += fn_sq_part
+        pdet_all.append(sum_f)
+        nf_all.append(sum_nf)
+        records.append(rec)
     pdet = np.concatenate(pdet_all)
     if pdet.max() < PDET_FLOOR:
         raise DegenerateProblemError(
@@ -348,5 +347,5 @@ def run_per_realization(model: QuantumModel, dist: IntervalDistribution,
         mode="per_realization", n_real=n_real, seed=seed, n_cut=n_cut,
         nbar=np.concatenate(nf_all) / pdet, pdet=pdet,
         fn_mean=fn_mean, fn_stderr=np.sqrt(fn_var / n_real),
-        fn_records=np.vstack(records) if keep_fn else None, threads=tiles.threads,
+        fn_records=np.vstack(records) if keep_fn else None, threads=workers,
     )

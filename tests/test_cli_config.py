@@ -401,7 +401,7 @@ def test_cli_mc_summary_reports_probe_steps_and_throughput(tmp_path, capsys, mod
     assert summary["probe_steps"] == steps
     assert summary["wall_s"] > 0
     assert summary["steps_per_s"] == pytest.approx(steps / summary["wall_s"])
-    assert summary["threads"] == 1            # 400 x 6 amplitudes fit in one tile
+    assert summary["threads"] == 1            # 400 rows of 6 make one chunk
 
 
 def test_cli_mc_one_realization_summary_is_strict_json(tmp_path, capsys):

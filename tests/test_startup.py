@@ -70,8 +70,8 @@ print(json.dumps({{"code": code, "rows": out.getvalue().count("\\n"),
 """
 
 
-# L = 64 with 20 000 realizations makes 20 tiles a probe step, enough for
-# every CPU of the affinity mask up to 20
+# L = 64 with 20 000 realizations makes 40 chunks of 512 rows, enough for
+# every CPU of the affinity mask up to 40
 MC_POOL = f"""
 import contextlib, io, json, os, sys, threading
 from qprobe import cli
@@ -132,5 +132,5 @@ def test_mc_pool_lives_in_the_run_only():
     doc = json.loads(proc.stdout)
     assert doc["code"] == 0
     assert doc["futures_at_import"] is False
-    assert doc["summary_threads"] == min(doc["cpus"], 20)
+    assert doc["summary_threads"] == min(doc["cpus"], 40)
     assert doc["threads"] == 1

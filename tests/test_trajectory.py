@@ -17,13 +17,14 @@ from qprobe.errors import DegenerateProblemError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_dense, build_ring, build_two_level, spectral_reduce
 from qprobe.superop import build_superops, detection_stats, fn_series
-from qprobe.trajectory import (_chunk_generators, _eigenphase_setup, _probe, _Tiles,
-                               run_bernoulli, run_per_realization)
+from qprobe.trajectory import (_chunk_generators, _eigenphase_setup, _probe, run_bernoulli,
+                               run_per_realization)
 from qprobe.verify import stroboscopic_fn_direct
 
 
-def replay_taus(dist, n_real, n_cut, seed, chunk=1 << 15):
-    """Re-draw the exact interval matrix used by run_per_realization."""
+def replay_taus(dist, n_real, n_cut, seed, chunk=trajectory.TILE_ELEMS // 2):
+    """Re-draw the exact interval matrix used by run_per_realization (the
+    default chunk of a two-level model)."""
     cols = []
     for rng, m in _chunk_generators(seed, n_real, chunk):
         block = np.empty((n_cut, m))
@@ -222,7 +223,7 @@ def test_dark_initial_state_per_realization_raises():
     assert ens.censored == 500 and len(ens.attempts) == 0
 
 
-def reference_probe(c, tau, neg_half_w, coeff_d, tiles=None):
+def reference_probe(c, tau, neg_half_w, coeff_d, e=None, h=None):
     """The probe step written with temporaries over all rows at once: the
     half-angle phase from the tangent of the contiguous half phase, the
     step's row kernel for the amplitude and the rank-one update as one
@@ -264,17 +265,17 @@ def test_fused_probe_is_bitwise_the_reference_step(n, dist):
     assert np.iscomplexobj(coeff_d) and np.any(coeff_d.imag != 0)
     m, rng = 257, np.random.default_rng(11)
     c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
-    with _Tiles(m, n) as tiles:
-        for _ in range(6):
-            tau = np.atleast_1d(dist.sample(rng, m))
-            f_ref = reference_probe(c_ref, tau, neg_half_w, coeff_d)
-            f_new = _probe(c_new, tau, neg_half_w, coeff_d, tiles)
-            assert np.array_equal(f_new, f_ref)
-            assert np.array_equal(c_new, c_ref)
-        # fewer rows than the buffers hold, as after a bernoulli compaction
-        k = 100
-        f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), neg_half_w, coeff_d)
-        f_new = _probe(c_new[:k], np.full(k, 0.3), neg_half_w, coeff_d, tiles)
+    e, h = np.empty((m, n), dtype=complex), np.empty((m, n))
+    for _ in range(6):
+        tau = np.atleast_1d(dist.sample(rng, m))
+        f_ref = reference_probe(c_ref, tau, neg_half_w, coeff_d)
+        f_new = _probe(c_new, tau, neg_half_w, coeff_d, e, h)
+        assert np.array_equal(f_new, f_ref)
+        assert np.array_equal(c_new, c_ref)
+    # fewer rows than the buffers hold, as after a bernoulli compaction
+    k = 100
+    f_ref = reference_probe(c_ref[:k], np.full(k, 0.3), neg_half_w, coeff_d)
+    f_new = _probe(c_new[:k], np.full(k, 0.3), neg_half_w, coeff_d, e, h)
     assert np.array_equal(f_new, f_ref) and np.array_equal(c_new, c_ref)
 
 
@@ -288,13 +289,13 @@ def test_row_kernel_step_is_within_rounding_of_the_gemv_step(n):
     for dist in (FixedInterval(0.7), ExponentialInterval(0.6), GammaInterval(2.5, 0.6)):
         rng = np.random.default_rng(11)
         c_ref, c_new = np.tile(coeff_in, (m, 1)), np.tile(coeff_in, (m, 1))
-        with _Tiles(m, n) as tiles:
-            for _ in range(40):
-                tau = np.atleast_1d(dist.sample(rng, m))
-                f_ref = exp_oracle_probe(c_ref, tau, neg_half_w, coeff_d)
-                f_new = _probe(c_new, tau, neg_half_w, coeff_d, tiles)
-                assert np.max(np.abs(f_new - f_ref)) <= 1e-13 * f_ref.max(), dist
-                assert np.max(np.abs(c_new - c_ref)) <= 1e-13 * np.abs(c_ref).max(), dist
+        e, h = np.empty((m, n), dtype=complex), np.empty((m, n))
+        for _ in range(40):
+            tau = np.atleast_1d(dist.sample(rng, m))
+            f_ref = exp_oracle_probe(c_ref, tau, neg_half_w, coeff_d)
+            f_new = _probe(c_new, tau, neg_half_w, coeff_d, e, h)
+            assert np.max(np.abs(f_new - f_ref)) <= 1e-13 * f_ref.max(), dist
+            assert np.max(np.abs(c_new - c_ref)) <= 1e-13 * np.abs(c_ref).max(), dist
 
 
 def test_probe_phase_is_within_rounding_of_expj():
@@ -309,8 +310,8 @@ def test_probe_phase_is_within_rounding_of_expj():
         np.random.default_rng(7).uniform(0.0, 100.0, 500),
     ])
     c = np.ones((len(theta), 2), dtype=complex)
-    with _Tiles(len(theta), 2) as tiles:
-        _probe(c, theta, np.array([0.5, -0.5]), np.zeros(2, dtype=complex), tiles)
+    _probe(c, theta, np.array([0.5, -0.5]), np.zeros(2, dtype=complex),
+           np.empty(c.shape, dtype=complex), np.empty(c.shape))
     with mpmath.workdps(30):
         for th, (e_pos, e_neg) in zip(theta, c):
             exact = mpmath.expj(mpmath.mpf(float(th)))
@@ -319,13 +320,14 @@ def test_probe_phase_is_within_rounding_of_expj():
 
 
 def test_probe_takes_tan_of_a_contiguous_buffer_and_allocates_no_c_sized_array(monkeypatch):
-    # every tangent runs in place on a C-contiguous float64 tile buffer (the
+    # a whole run at the default chunk (512 rows of 64): every tangent runs in
+    # place on a C-contiguous float64 buffer of at most one chunk (the
     # vectorized loop), and no cos, sin or exp is called; tracemalloc sees
-    # the returned F and per-tile amplitudes, not an array of c's 20 MB
-    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(random_dense_model(64, seed=64))
-    m = 20000
-    tau = ExponentialInterval(0.6).sample(np.random.default_rng(5), m)
-    c = np.tile(coeff_in, (m, 1))
+    # each worker's chunk amplitudes and scratch (1.25 MB) and the
+    # per-realization sums, never an array of the old (n_real, N) 20 MB
+    model = random_dense_model(64, seed=64)
+    n_real, n_cut = 20000, 3
+    c_nbytes = n_real * 64 * np.dtype(complex).itemsize
     tan, seen = np.tan, []
 
     def checked_tan(x, out):
@@ -336,42 +338,48 @@ def test_probe_takes_tan_of_a_contiguous_buffer_and_allocates_no_c_sized_array(m
     def refused(*args, **kwargs):
         raise AssertionError("the probe step calls no cos, sin or exp")
 
+    _eigenphase_setup(model)                 # eigh's lazy allocations stay out
     monkeypatch.setattr(np, "tan", checked_tan)
     for name in ("cos", "sin", "exp"):
         monkeypatch.setattr(np, name, refused)
-    with _Tiles(m, 64) as tiles:
+    for workers in (1, 2):
+        monkeypatch.setattr(trajectory, "_workers", lambda: workers)
+        seen.clear()
         tracemalloc.start()
         try:
-            _probe(c, tau, neg_half_w, coeff_d, tiles)
+            ens = run_per_realization(model, ExponentialInterval(0.6), n_real, n_cut, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert sum(seen) == c.size and max(seen) == trajectory.TILE_ELEMS
-    assert peak < c.nbytes / 16
+        assert ens.threads == workers
+        assert sum(seen) == n_real * 64 * n_cut and max(seen) <= trajectory.TILE_ELEMS
+        assert peak < workers * c_nbytes / 8, (workers, peak)
 
 
-@pytest.mark.parametrize("model, m, threads", [(random_dense_model(6, seed=6), 10000, 1),
-                                               (random_dense_model(6, seed=6), 20000, 2),
-                                               (build_two_level(1.0), trajectory.DEFAULT_CHUNK, 1)],
-                         ids=["dense6-two-tiles", "dense6-four-tiles", "tls-two-tiles"])
-def test_a_step_splits_only_with_two_tiles_a_worker(monkeypatch, model, m, threads):
-    # with two CPUs, 2**15-amplitude tiles cut 10 000 rows of 6 and a
-    # default chunk of two-level rows into two tiles, which stay on one
-    # worker; 20 000 rows of 6 make four tiles, two for each worker
-    neg_half_w, coeff_in, coeff_d = _eigenphase_setup(model)
-    tau = ExponentialInterval(0.6).sample(np.random.default_rng(3), m)
+def test_chunk_generators_are_lazy():
+    # 2**27 realizations in 512-row chunks are 262 144 generators; the
+    # first one comes without building the rest
+    tracemalloc.start()
+    try:
+        rng, m = next(_chunk_generators(7, 1 << 27, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 512
+    assert peak < 64 * 1024
 
-    def step(workers):
-        monkeypatch.setattr(trajectory, "_workers", lambda: workers)
-        c = np.tile(coeff_in, (m, 1))
-        with _Tiles(m, len(coeff_in)) as tiles:
-            f = _probe(c, tau, neg_half_w, coeff_d, tiles)
-        return f, c, tiles.threads
 
-    f_one, c_one, threads_one = step(1)
-    f_two, c_two, threads_two = step(2)
-    assert (threads_one, threads_two) == (1, threads)
-    assert np.array_equal(f_two, f_one) and np.array_equal(c_two, c_one)
+def test_chunk_streams_are_the_spawned_children_of_the_seed():
+    # chunk i draws from SeedSequence(seed).spawn(n)[i], as before the
+    # streams were made lazily; 1000 rows in chunks of 300 leave a ragged 100
+    seed, n_real, chunk = 20260808, 1000, 300
+    children = np.random.SeedSequence(seed).spawn(4)
+    chunks = list(_chunk_generators(seed, n_real, chunk))
+    assert [m for _, m in chunks] == [300, 300, 300, 100]
+    for (rng, m), child in zip(chunks, children):
+        expect = np.random.Generator(np.random.Philox(child))
+        assert np.array_equal(rng.random(m), expect.random(m))
+        assert np.array_equal(rng.exponential(0.6, 8), expect.exponential(0.6, 8))
 
 
 def reference_bernoulli(model, dist, n_real, seed, n_abort, chunk):
@@ -446,31 +454,29 @@ def test_probe_steps_count(mode):
                                             (random_dense_model(64, seed=4), 30)],
                          ids=["ring6", "dense64"])
 def test_runs_are_bitwise_the_same_for_any_worker_count_and_tile(monkeypatch, model, n_abort):
-    # 1500 realizations in chunks of 2**9; tiles of 37 rows leave a ragged
-    # last tile, and bernoulli detections shrink the tile count mid-run
+    # 1500 realizations in chunks of 2**8 rows are six chunks with a ragged
+    # last one of 220, and bernoulli detections shrink each chunk's live set
     dist = ExponentialInterval(0.6)
-    kw = dict(n_real=1500, chunk=1 << 9)
     n = len(model.psi_in)
 
-    def runs(workers, tile_rows):
+    def runs(workers, **kw):
         monkeypatch.setattr(trajectory, "_workers", lambda: workers)
-        monkeypatch.setattr(trajectory, "TILE_ELEMS", tile_rows * n)
-        b = run_bernoulli(model, dist, seed=5, n_abort=n_abort, **kw)
-        p = run_per_realization(model, dist, n_cut=20, seed=6, **kw)
+        b = run_bernoulli(model, dist, n_real=1500, seed=5, n_abort=n_abort, **kw)
+        p = run_per_realization(model, dist, n_real=1500, n_cut=20, seed=6, **kw)
         return b, p
 
-    b_one, p_one = runs(1, 1 << 12)
+    b_one, p_one = runs(1, chunk=1 << 8)
     assert b_one.threads == p_one.threads == 1
-    # 128-row tiles make four tiles of a 512-row chunk, and each worker
-    # takes at least two, so two of three workers run; three workers
-    # outnumber the cores of a small machine, and a short switch interval
-    # makes the workers interleave as often as they can
+    # three and eight workers outnumber the cores of a small machine, and a
+    # short switch interval makes the workers interleave as often as they
+    # can; the default chunk of TILE_ELEMS amplitudes is the same 2**8 rows
+    monkeypatch.setattr(trajectory, "TILE_ELEMS", n << 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers, tile_rows, threads in [(1, 37, 1), (2, 37, 2), (3, 37, 3), (3, 128, 2)]:
-            b, p = runs(workers, tile_rows)
-            assert b.threads == p.threads == p.summary()["threads"] == threads
+        for workers, kw in [(2, {"chunk": 1 << 8}), (3, {"chunk": 1 << 8}), (2, {}), (8, {})]:
+            b, p = runs(workers, **kw)
+            assert b.threads == p.threads == p.summary()["threads"] == min(workers, 6)
             assert b.censored == b_one.censored
             assert np.array_equal(b.attempts, b_one.attempts)
             assert np.array_equal(b.times, b_one.times)
