@@ -190,7 +190,7 @@ def _run_chunks(work, seed: int, n_real: int, chunk: int, n: int, workers: int):
         finally:
             scratch.append(pair)
 
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor   # here, not at import: cold start
     with ThreadPoolExecutor(workers) as pool:
         window = deque()
         for rng, m in _chunk_generators(seed, n_real, chunk):
