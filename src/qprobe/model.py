@@ -142,8 +142,9 @@ class SpectralData:
     cross_amp : (Nr,) complex
         <psi_d|b_i><b_i|psi_in> per bright state; equals p_detect entrywise
         for the return problem.
-    bright : (N, Nr) complex
-        Bright states as columns in the site basis.
+    bright : (N, Nr) complex, or real
+        Bright states as columns in the site basis.  Real only from
+        ``spectral_full`` of a real H, whose eigenvectors are real.
     reduced : bool
         False for the raw full-space variant, where dark clusters are kept
         and ``p_detect`` may contain zeros (pseudo-inverse path only).
@@ -187,6 +188,24 @@ def _cluster_starts(w: np.ndarray, tol: float) -> np.ndarray:
     return np.array(starts)
 
 
+def _eigenbasis(model: QuantumModel):
+    """Eigenpairs (w, v) of H and the overlaps <E_j|psi_d>, <E_j|psi_in>.
+
+    A real H (every ring, every real dense config) goes through the real
+    symmetric solver, which takes a fraction of the time and memory of the
+    complex one, and v is then real.  The overlaps are taken from the real
+    and imaginary parts of the states, so no complex copy of v is made.
+    """
+    h = model.hamiltonian
+    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    states = np.stack([model.psi_d, model.psi_in], axis=1)
+    if np.iscomplexobj(v):
+        comp = (states.conj().T @ v).conj().T
+    else:
+        comp = (v.T @ states.view(float)).view(complex)
+    return w, v, comp[:, 0], comp[:, 1]
+
+
 def spectral_reduce(model: QuantumModel,
                     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
                     dark_tol: float = DEFAULT_DARK_TOL) -> SpectralData:
@@ -196,8 +215,10 @@ def spectral_reduce(model: QuantumModel,
     of the detection state onto the cluster's eigenspace.  Its phase is
     fixed so the overlap with the detection state is real and positive,
     which makes the output independent of the arbitrary eigenvector
-    phases and of the basis chosen inside degenerate clusters.  Each field
-    sums the ``spectral_full`` one over a cluster (energies: the mean).
+    phases and of the basis chosen inside degenerate clusters, and so of
+    whether H was diagonalized in real or complex arithmetic.  Each field
+    sums the ``spectral_full`` one over a cluster (energies: the mean);
+    ``bright`` is complex.
 
     Clusters are formed at no finer than 8 N eps max|E|, LAPACK's bound on
     the error of ``eigh``'s eigenvalues: at a large energy scale an absolute
@@ -206,11 +227,10 @@ def spectral_reduce(model: QuantumModel,
     """
     if not 0 < degeneracy_tol < np.inf:
         raise ValueError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
-    full = spectral_full(model)
-    w = full.energies
+    w, v, comp_d, comp_in = _eigenbasis(model)
     tol = max(degeneracy_tol, 8 * len(w) * np.finfo(float).eps * float(np.max(np.abs(w))))
     starts = _cluster_starts(w, tol)
-    p = np.add.reduceat(full.p_detect, starts)
+    p = np.add.reduceat(np.abs(comp_d) ** 2, starts)
     keep = p > dark_tol
     if not keep.any():
         raise DegenerateProblemError(
@@ -218,9 +238,8 @@ def spectral_reduce(model: QuantumModel,
     p = p[keep]
     sizes = np.diff(starts, append=len(w))
     energies = np.add.reduceat(w, starts) / sizes
-    amp = np.add.reduceat(full.cross_amp, starts)[keep]
-    comp_d = full.bright.conj().T @ model.psi_d          # <E_j|psi_d>
-    bright = np.add.reduceat(full.bright * comp_d, starts, axis=1)[:, keep]
+    amp = np.add.reduceat(comp_d.conj() * comp_in, starts)[keep]
+    bright = np.add.reduceat(v * comp_d, starts, axis=1)[:, keep]
     return SpectralData(
         energies=energies[keep],
         p_detect=p,
@@ -239,10 +258,10 @@ def spectral_full(model: QuantumModel) -> SpectralData:
     Degenerate energies repeat and detection overlaps may vanish, so the
     downstream linear systems are singular; this path exists only for the
     pseudo-inverse treatment and for cross-checks against the reduced one.
+    ``bright`` holds the eigenvectors as ``eigh`` returns them: real for a
+    real H, with arbitrary signs (phases) and bases inside degenerate levels.
     """
-    w, v = np.linalg.eigh(model.hamiltonian)
-    comp_d = v.conj().T @ model.psi_d
-    comp_in = v.conj().T @ model.psi_in
+    w, v, comp_d, comp_in = _eigenbasis(model)
     return SpectralData(
         energies=w,
         p_detect=np.abs(comp_d) ** 2,

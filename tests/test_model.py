@@ -1,12 +1,18 @@
 """Model construction and spectral reduction tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qprobe.closedform import ring_nbar_exp
 from qprobe.errors import DegenerateProblemError, InvalidModelError
-from qprobe.intervals import ExponentialInterval
+from qprobe.intervals import ExponentialInterval, GammaInterval
 from qprobe.model import (QuantumModel, basis_state, build_dense, build_ring,
                           build_two_level, spectral_full, spectral_reduce)
 from qprobe.superop import build_superops, detection_stats
@@ -247,3 +253,96 @@ def test_spectral_full_keeps_everything():
     assert sd.reduced_dim == 6
     assert sd.p_detect.sum() == pytest.approx(1.0, abs=1e-12)
     assert sd.p_init.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def gauged(model, seed=5):
+    """The model under a random diagonal phase gauge D: D H D*, D psi_in and
+    D psi_d.  Its H is complex, so ``eigh`` runs in complex arithmetic."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, model.dim))
+    return build_dense(d[:, None] * model.hamiltonian * d.conj()[None, :],
+                       d * model.psi_in, d * model.psi_d, label=model.label)
+
+
+def planted_real_dense():
+    """A real 9-level model with a 3-fold level, a 2-fold level and a pair
+    split by 3e-11 (one cluster at the default tolerance): Nr = 5."""
+    rng = np.random.default_rng(11)
+    energies = np.array([-1.3, -1.3, -1.3, -0.2, -0.2, 0.4, 0.4 + 3e-11, 1.1, 2.0])
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    h = (u * energies) @ u.T
+    psi_in, psi_d = rng.standard_normal((2, 9))
+    return build_dense(0.5 * (h + h.T), psi_in / np.linalg.norm(psi_in),
+                       psi_d / np.linalg.norm(psi_d))
+
+
+PARITY_MODELS = {   # name -> (model, Nr, return problem)
+    "ring7": (lambda: build_ring(7, 1.0, 1, 0), 4, False),
+    "ring24-return": (lambda: build_ring(24, 1.0, 5, 5), 13, True),
+    "ring80": (lambda: build_ring(80, 1.0, 33, 0), 41, False),
+    "dense9-planted": (planted_real_dense, 5, False),
+}
+MOMENTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq")
+
+
+def assert_reductions_agree(a, b, dists=(ExponentialInterval(0.6), GammaInterval(10.0, 0.6))):
+    """Two reductions of one model agree to roundoff, field by field and in
+    every moment under each interval law."""
+    assert a.reduced_dim == b.reduced_dim
+    assert a.is_return_problem() == b.is_return_problem()
+    for field in ("energies", "p_detect", "p_init", "cross_amp"):
+        assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-12, field
+    for dist in dists:
+        sa = detection_stats(build_superops(a, dist), dist)
+        sb = detection_stats(build_superops(b, dist), dist)
+        for name in MOMENTS:
+            x, y = getattr(sa, name), getattr(sb, name)
+            assert abs(x - y) <= 1e-10 * abs(x), (dist, name)
+
+
+@pytest.mark.filterwarnings("ignore:ring closed form")
+@pytest.mark.parametrize("name", PARITY_MODELS)
+def test_real_hamiltonian_reduces_like_its_complex_gauge_twin(name):
+    # a real H goes through the real symmetric eigensolver (its eigenvectors
+    # come back real), the gauged twin through the complex one; the bright
+    # states' fixed phases make the reductions agree at roundoff
+    build, nr, is_return = PARITY_MODELS[name]
+    model = build()
+    twin = gauged(model)
+    assert np.isrealobj(spectral_full(model).bright)
+    assert np.iscomplexobj(spectral_full(twin).bright)
+    a, b = spectral_reduce(model), spectral_reduce(twin)
+    assert a.reduced_dim == nr
+    assert a.is_return_problem() == is_return
+    assert_reductions_agree(a, b)
+
+
+RING_REDUCE_PEAK = """
+import json
+from qprobe.model import build_ring, spectral_reduce
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+spectral_reduce(build_ring(8, 1.0, 1, 0))
+before = peak_kib()
+spectral_reduce(build_ring(1500, 1.0, 17, 0))
+print(json.dumps([before, peak_kib()]))
+"""
+
+
+def test_ring_build_and_reduce_peak_within_four_hamiltonians():
+    # the peak RSS of a fresh process over building and reducing ring 1500,
+    # against its 16 L^2-byte complex H: the build's Hermiticity check reaches
+    # ~3 H and the real eigh stays under it; the complex eigh reached ~5.1 H.
+    # VmHWM is this process image's own peak; ru_maxrss would start from the
+    # RSS of the test process that spawned it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", RING_REDUCE_PEAK], env=env,
+                         capture_output=True, text=True, check=True)
+    before, after = json.loads(out.stdout)
+    assert (after - before) * 1024 <= 4 * 16 * 1500**2

@@ -1,11 +1,16 @@
-"""Property tests: the structured moments against the dense oracle.
+"""Property tests: the structured moments against the dense oracle, and
+real against complex diagonalization.
 
 Random dense models of dimension 3-6 with one planted degenerate pair,
 random complex initial and detection states, and fixed, exponential and
 Gamma interval laws with means in [0.3, 0.9].  ``detection_stats`` must
 match ``verify.dense_reference_stats`` and obey p_det = sum(q) and
 t_mean = <tau> n_mean, within a relative tolerance that grows with the
-dense cond_1(J).  The runs are derandomized, so Tier-1 stays deterministic.
+dense cond_1(J).
+
+Random real dense models of dimension 3-9 with planted 2- and 3-fold
+levels must reduce like their complex twins under a random diagonal
+phase gauge.  The runs are derandomized, so Tier-1 stays deterministic.
 """
 
 import numpy as np
@@ -14,9 +19,10 @@ from hypothesis import strategies as st
 
 from qprobe.errors import IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
-from qprobe.model import build_dense, spectral_reduce
+from qprobe.model import build_dense, spectral_full, spectral_reduce
 from qprobe.superop import DEFAULT_COND_LIMIT, build_superops, detection_stats
 from qprobe.verify import dense_reference_stats
+from test_model import assert_reductions_agree, gauged
 
 MOMENTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq")
 
@@ -66,3 +72,35 @@ def test_structured_stats_match_dense_oracle(model, dist):
         assert abs(getattr(stats, name) - ref[name]) <= rtol * abs(ref[name]), name
     assert abs(stats.p_det - sd.p_init.sum()) <= rtol * sd.p_init.sum()
     assert abs(stats.t_mean - dist.mean * stats.n_mean) <= rtol * stats.t_mean
+
+
+@st.composite
+def real_models(draw):
+    """A real dense model whose levels have multiplicities 1-3 and gaps in
+    [0.05, 3], with real states (the return problem when psi_in = psi_d);
+    returns the model and its number of levels."""
+    n = draw(st.integers(3, 9))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(3, n - sum(sizes)))))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=len(sizes) - 1,
+                         max_size=len(sizes) - 1))
+    levels = draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = (u * np.repeat(levels, sizes)) @ u.T
+    psi_in, psi_d = rng.standard_normal((2, n))
+    if draw(st.booleans()):
+        psi_in = psi_d
+    return build_dense(0.5 * (h + h.T), psi_in / np.linalg.norm(psi_in),
+                       psi_d / np.linalg.norm(psi_d)), len(sizes)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=real_models())
+def test_real_models_reduce_like_their_complex_gauge_twins(case):
+    model, levels = case
+    assert np.isrealobj(spectral_full(model).bright)    # the real symmetric solver ran
+    a = spectral_reduce(model)
+    assert a.reduced_dim == levels          # each planted level is one bright cluster
+    assert_reductions_agree(a, spectral_reduce(gauged(model)))
