@@ -6,6 +6,14 @@ Carlo runs, CSV records plus JSON summary) and ``verify`` (built-in
 cross-check suite).  Models and distributions come from a flat key=value
 config file (``--model``) and/or flags; flags override the file.
 
+Each subcommand takes only the flags it reads.  The model and law flags
+(--model --L --gamma --xin --xd --dist --tau --mean --alpha) are on all
+four model subcommands.  The exact interval average adds
+--degeneracy-tol (``stats``, ``fn``, ``sweep``) and --pseudo-inverse
+(``stats``, ``sweep``, the subcommands that solve); the Monte Carlo adds
+--seed (``mc``).  A ``seed`` key in a --model file is checked by every
+subcommand.
+
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
 closed-form divergence, an eigenvalue iteration that fails its check),
 2 on configuration errors (out-of-range flag values and an unwritable
@@ -20,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 import time
@@ -35,42 +44,43 @@ from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
 from .verify import run_verify
 
 SWEEP_OUTPUTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq", "lambda_max")
+# the config keys a flag sets; each of those flags has its key as dest
+FLAG_KEYS = ("L", "gamma", "x_in", "x_d", "dist", "tau", "mean", "alpha", "seed")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="key=value config file")
     p.add_argument("--L", type=int, help="ring size")
     p.add_argument("--gamma", type=float, help="hopping strength")
-    p.add_argument("--xin", type=int, help="initial site")
-    p.add_argument("--xd", type=int, help="detection site")
+    p.add_argument("--xin", dest="x_in", type=int, help="initial site")
+    p.add_argument("--xd", dest="x_d", type=int, help="detection site")
     p.add_argument("--dist", choices=("fixed", "exp", "gamma"), help="interval family")
     p.add_argument("--tau", type=float, help="fixed interval value")
     p.add_argument("--mean", type=float, help="mean interval")
     p.add_argument("--alpha", type=float, help="gamma shape parameter")
-    p.add_argument("--seed", type=int, help="rng seed (unsigned 64-bit)")
+
+
+def _add_exact_flags(p: argparse.ArgumentParser, solve: bool = True) -> None:
+    """The flags of the exact interval average; --pseudo-inverse only
+    where a moment solve runs."""
     p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL,
                    help="energy clustering tolerance (default %(default)g), raised to "
                         "eigh's error bound 8 N eps max|E| where that is larger")
-    p.add_argument("--pseudo-inverse", action="store_true",
-                   help="use a truncated-SVD pseudo-inverse on singular solves")
+    if solve:
+        p.add_argument("--pseudo-inverse", action="store_true",
+                       help="use a truncated-SVD pseudo-inverse on singular solves")
 
 
-def _merged_config(args) -> dict[str, str]:
-    """The config file with the flags laid over it.  The inputs every
-    subcommand shares (``seed`` and --degeneracy-tol) are checked here,
-    before any solve and before --out is opened."""
+def _merged_config(args) -> tuple[dict[str, str], int]:
+    """The config file with the flags laid over it, and its seed.  The
+    seed, which a --model file may set for any subcommand, is checked
+    here, before any solve and before --out is opened."""
     file_cfg = cfgmod.load_config_file(args.model) if args.model else {}
-    overrides = {
-        "L": args.L, "gamma": args.gamma, "x_in": args.xin, "x_d": args.xd,
-        "dist": args.dist, "tau": args.tau, "mean": args.mean,
-        "alpha": args.alpha, "seed": args.seed,
-    }
-    cfg = cfgmod.merge_overrides(file_cfg, overrides)
+    flags = vars(args)
+    cfg = cfgmod.merge_overrides(file_cfg, {key: flags.get(key) for key in FLAG_KEYS})
     if "kind" not in cfg and "L" in cfg:
         cfg["kind"] = "ring"
-    cfgmod.seed_from_config(cfg)
-    _positive("--degeneracy-tol", args.degeneracy_tol)
-    return cfg
+    return cfg, cfgmod.seed_from_config(cfg)
 
 
 def _positive(flag: str, value):
@@ -88,7 +98,8 @@ def _array_length(flag: str, n: int) -> int:
 
 
 def _reduce_from_args(args, cfg):
-    return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=args.degeneracy_tol)
+    tol = _positive("--degeneracy-tol", args.degeneracy_tol)
+    return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=tol)
 
 
 @contextlib.contextmanager
@@ -117,7 +128,7 @@ def _emit(fh, fmt: str, doc: dict | None, header=(), rows=()) -> None:
 
 
 def cmd_stats(args) -> int:
-    cfg = _merged_config(args)
+    cfg, _ = _merged_config(args)
     sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
     sset = build_superops(sd, dist)
@@ -146,14 +157,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_fn(args) -> int:
-    cfg = _merged_config(args)
+    cfg, _ = _merged_config(args)
     dist = cfgmod.distribution_from_config(cfg)
     nmax = _array_length("--nmax", _positive("--nmax", args.nmax))
     sd = _reduce_from_args(args, cfg)
     with _opened_out(args.out) as fh:
         series = fn_series(build_superops(sd, dist), nmax)
-        series = np.maximum(series, 0.0)      # clamp roundoff negatives on output only
-        _emit(fh, args.format, {"config": cfg, "fn": list(series)}, ["n", "fn"],
+        np.maximum(series, 0.0, out=series)   # clamp roundoff negatives on output only
+        doc = {"config": cfg, "fn": list(series)} if args.format == "json" else None
+        _emit(fh, args.format, doc, ["n", "fn"],
               ([n, repr(float(value))] for n, value in enumerate(series, 1)))
     return 0
 
@@ -183,13 +195,14 @@ def run_sweep(sd, axis: str, points, outputs, pseudo_inverse: bool) -> list[dict
             for name in outputs:
                 row[name] = ""
             row["status"] = f"ill-conditioned cond~{exc.condition:.3e}"
-            row["condition"] = exc.condition
+            # strict JSON has no Infinity: an exactly singular solve reads null
+            row["condition"] = exc.condition if np.isfinite(exc.condition) else None
         rows.append(row)
     return rows
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merged_config(args)
+    cfg, _ = _merged_config(args)
     try:
         grid = [float(x) for x in args.grid.replace(",", " ").split()]
     except ValueError:
@@ -221,10 +234,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = _merged_config(args)
+    cfg, seed = _merged_config(args)
     model = cfgmod.model_from_config(cfg)
     dist = cfgmod.distribution_from_config(cfg)
-    seed = cfgmod.seed_from_config(cfg, default=0)
     # every run keeps at least one float64 per realization
     n_real = _array_length("--nreal", _positive("--nreal", args.nreal))
     bernoulli = args.mode == "bernoulli"
@@ -268,10 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="single-point detection statistics (JSON)")
     _add_model_flags(p_stats)
+    _add_exact_flags(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
     p_fn = sub.add_parser("fn", help="averaged detection series")
     _add_model_flags(p_fn)
+    _add_exact_flags(p_fn, solve=False)
     p_fn.add_argument("--nmax", type=int, required=True, help="series length")
     p_fn.add_argument("--out", help="output file ('-' for stdout)")
     p_fn.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -279,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter scan (CSV)")
     _add_model_flags(p_sweep)
+    _add_exact_flags(p_sweep)
     p_sweep.add_argument("--axis", choices=("mean_tau", "alpha"), required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated strictly increasing positive values")
@@ -290,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo run (CSV + JSON summary)")
     _add_model_flags(p_mc)
+    p_mc.add_argument("--seed", type=int, help="rng seed (unsigned 64-bit)")
     p_mc.add_argument("--mode", choices=("bernoulli", "per_realization"),
                       default="bernoulli")
     p_mc.add_argument("--nreal", type=int, required=True, help="realization count")
@@ -307,9 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,10 +1,13 @@
 """Configuration parsing and command-line behavior tests."""
 
+import argparse
 import csv
 import io
 import json
+import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +258,15 @@ def test_cli_sweep_json_rows_carry_condition(capsys):
     assert cli.main([*argv, "--outputs", "lambda_max", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert all("condition" not in r and r["status"] == "ok" for r in rows)
+
+
+def test_cli_sweep_json_singular_point_condition_is_null(capsys):
+    # alpha = 1e-300 puts every charfn at 1: J is exactly singular, cond inf
+    assert cli.main(["sweep", *RING7, "--dist", "gamma", "--mean", "0.6", "--axis", "alpha",
+                     "--grid", "1e-300,2", "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert rows[0]["status"] == "ill-conditioned cond~inf" and rows[0]["condition"] is None
+    assert rows[1]["status"] == "ok" and rows[1]["condition"] > 1
 
 
 def test_cli_sweep_csv_bytes(capsys):
@@ -579,26 +591,195 @@ def test_cli_unwritable_out_exits_two(tmp_path, capsys, no_compute, argv):
     assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags, expect", [
-    (["--seed", "-5"], "seed must fit in unsigned 64 bits, got -5"),
-    (["--seed", str(2**64)], f"seed must fit in unsigned 64 bits, got {2**64}"),
-    (["--degeneracy-tol", "-1"], "--degeneracy-tol must be positive and finite, got -1.0"),
-    (["--degeneracy-tol", "nan"], "--degeneracy-tol must be positive and finite, got nan"),
-], ids=["seed-negative", "seed-2^64", "tol-negative", "tol-nan"])
-@pytest.mark.parametrize("argv", [
-    ["stats", *RING7, "--dist", "exp", "--mean", "0.6"],
-    ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "3"],
-    ["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau", "--grid", "0.5,1"],
-    ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5"],
-], ids=["stats", "fn", "sweep", "mc"])
+SUBCOMMAND_ARGV = {
+    "stats": ["stats", *RING7, "--dist", "exp", "--mean", "0.6"],
+    "fn": ["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax", "3"],
+    "sweep": ["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau", "--grid", "0.5,1"],
+    "mc": ["mc", *RING7, "--dist", "exp", "--mean", "0.6", "--nreal", "5"],
+}
+SEED_ERROR = "seed must fit in unsigned 64 bits, got {}"
+TOL_ERROR = "--degeneracy-tol must be positive and finite, got {}"
+
+
+@pytest.mark.parametrize("command, flags, expect", [
+    # mc takes --seed; stats, fn and sweep read a seed from a --model file only
+    *(pytest.param(command, flags, SEED_ERROR.format(seed), id=f"{command}-{name}")
+      for command in ("stats", "fn", "sweep", "mc")
+      for name, seed in (("seed-negative", -5), ("seed-2^64", 2**64))
+      for flags in [["--seed", str(seed)] if command == "mc" else [f"seed={seed}"]]),
+    # the exact subcommands take --degeneracy-tol
+    *(pytest.param(command, ["--degeneracy-tol", tol], TOL_ERROR.format(float(tol)),
+                   id=f"{command}-{name}")
+      for command in ("stats", "fn", "sweep")
+      for name, tol in (("tol-negative", "-1"), ("tol-nan", "nan"))),
+])
 def test_cli_shared_flags_checked_on_every_subcommand(tmp_path, capsys, no_solve,
-                                                      argv, flags, expect):
+                                                      command, flags, expect):
+    if flags[0].startswith("seed="):
+        model = tmp_path / "seed.cfg"
+        model.write_text(flags[0] + "\n")
+        flags = ["--model", str(model)]
     out = tmp_path / "x.csv"
-    if argv[0] != "stats":
+    argv = SUBCOMMAND_ARGV[command]
+    if command != "stats":
         argv = [*argv, "--out", str(out)]
     assert cli.main([*argv, *flags]) == 2
     assert capsys.readouterr().err == f"config error: {expect}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("stats", ["--seed", "3"]),
+    ("fn", ["--seed", "3"]),
+    ("sweep", ["--seed", "3"]),
+    ("fn", ["--pseudo-inverse"]),
+    ("mc", ["--pseudo-inverse"]),
+    ("mc", ["--degeneracy-tol", "0.5"]),
+], ids=["stats-seed", "fn-seed", "sweep-seed", "fn-pseudo-inverse", "mc-pseudo-inverse",
+        "mc-degeneracy-tol"])
+def test_cli_flag_a_subcommand_does_not_read_exits_two(tmp_path, capsys, no_solve,
+                                                       command, flags):
+    # each subcommand takes only the flags it reads: the exact average has no
+    # seed, fn solves nothing and the Monte Carlo neither clusters nor solves
+    out = tmp_path / "x.csv"
+    argv = SUBCOMMAND_ARGV[command]
+    if command != "stats":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+    assert not out.exists()
+
+
+def test_cli_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["stats", "--L", "7"]) == 2          # no sites: a config error
+        assert cli.main(["stats", "--L", "7"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().err.count("config error: missing required key") == 2
+
+
+def test_cli_fn_csv_holds_one_series(monkeypatch):
+    # past a fixed cost (the csv writer's record buffer, the I/O layer), a
+    # CSV run holds one float64 per entry: no clamped copy, no list of floats
+    monkeypatch.setattr(cli, "fn_series", lambda sset, n: np.linspace(-0.01, 0.5, n))
+
+    def peak(nmax):
+        tracemalloc.start()
+        try:
+            assert cli.main(["fn", *RING7, "--dist", "exp", "--mean", "0.6",
+                             "--nmax", str(nmax), "--out", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base, nmax = 1 << 12, 1 << 16
+    peak(base)
+    assert (peak(nmax) - peak(base)) / (8 * (nmax - base)) <= 1.2
+
+
+MODEL_FLAGS = ["--model", "--L", "--gamma", "--xin", "--xd", "--dist", "--tau", "--mean",
+               "--alpha"]
+SUBCOMMAND_FLAGS = {
+    "stats": [*MODEL_FLAGS, "--degeneracy-tol", "--pseudo-inverse"],
+    "fn": [*MODEL_FLAGS, "--degeneracy-tol", "--nmax", "--out", "--format"],
+    "sweep": [*MODEL_FLAGS, "--degeneracy-tol", "--pseudo-inverse", "--axis", "--grid",
+              "--outputs", "--out", "--format"],
+    "mc": [*MODEL_FLAGS, "--seed", "--mode", "--nreal", "--ncut", "--n-abort", "--out"],
+    "verify": ["--level"],
+}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _settable(subparser):
+    """The option strings of the flags a user can set, --help aside."""
+    return [a.option_strings[0] for a in subparser._actions
+            if a.option_strings and a.option_strings[0] != "-h"]
+
+
+def test_cli_each_subcommand_takes_only_the_flags_it_reads():
+    subs = _subparsers(cli.build_parser())
+    assert {name: _settable(p) for name, p in subs.items()} == SUBCOMMAND_FLAGS
+
+
+RING5 = ["--L", "5", "--gamma", "1", "--xin", "1", "--xd", "0"]
+FIXED = ["--dist", "fixed", "--tau", "0.6"]
+GAMMA = ["--dist", "gamma", "--alpha", "2", "--mean", "0.6"]
+# two tiny runs of each subcommand, together reading every flag, both formats and
+# both solvers
+MATRIX_BASES = {
+    "stats": [["stats", *RING5, *FIXED], ["stats", *RING5, *GAMMA, "--pseudo-inverse"]],
+    "fn": [["fn", *RING5, *FIXED, "--nmax", "5"],
+           ["fn", *RING5, *GAMMA, "--nmax", "5", "--format", "json"]],
+    "sweep": [["sweep", *RING5, *FIXED, "--axis", "mean_tau", "--grid", "0.5,1",
+               "--pseudo-inverse"],
+              ["sweep", *RING5, *GAMMA, "--axis", "alpha", "--grid", "2,3", "--format", "json"]],
+    "mc": [["mc", *RING5, *FIXED, "--nreal", "20", "--n-abort", "20"],
+           ["mc", *RING5, *GAMMA, "--mode", "per_realization", "--nreal", "20", "--ncut", "5"]],
+    "verify": [["verify"]],
+}
+MATRIX_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "abc", "2",
+                 "3.141592653589793"]
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", list(MATRIX_BASES))
+def test_cli_flag_matrix_exits_cleanly(tmp_path, monkeypatch, capsys, command):
+    # every flag that takes a value, set alone to each value on a tiny run: the
+    # exit code is 0, 1 or 2, a rejection is one line (argparse's after its
+    # usage line), and what a run writes as JSON is strict JSON
+    monkeypatch.chdir(tmp_path)
+    subparser = _subparsers(cli.build_parser())[command]
+    flags = [a.option_strings[0] for a in subparser._actions
+             if a.option_strings and a.nargs != 0]
+    failures = []
+    for base in MATRIX_BASES[command]:
+        for flag in flags:
+            for value in MATRIX_VALUES:
+                argv = [*base, f"{flag}={value}"]
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:
+                    rc, parser_error = exc.code, True
+                else:
+                    parser_error = False
+                out, err = capsys.readouterr()
+                try:
+                    assert rc in (0, 1, 2) and "Traceback" not in err
+                    if parser_error:
+                        assert rc == 2 and err.startswith("usage: ")
+                        assert err.splitlines()[-1].startswith("qprobe ")
+                    elif rc:
+                        assert out == "" and err.count("\n") == 1
+                    elif command == "stats" or "json" in base:
+                        _strict_json(Path(value).read_text() if flag == "--out" else out)
+                    elif command == "mc":
+                        _strict_json(out if flag == "--out" else err)
+                except (AssertionError, ValueError) as exc:
+                    failures.append((argv[-1], base[-2:], rc, err, repr(exc)))
+    assert not failures, failures
 
 
 @pytest.mark.parametrize("gamma", ["1e11", "1e12", "1e300"])

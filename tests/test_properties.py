@@ -10,7 +10,14 @@ dense cond_1(J).
 
 Random real dense models of dimension 3-9 with planted 2- and 3-fold
 levels must reduce like their complex twins under a random diagonal
-phase gauge.  The runs are derandomized, so Tier-1 stays deterministic.
+phase gauge.
+
+On both families, real or under a complex gauge: a return problem
+(psi_in = psi_d) is detected with certainty after, on average, as many
+attempts as there are levels (Grunbaum, Velazquez, Werner and Werner,
+Commun. Math. Phys. 320, 2013), and under a fixed interval the averaged
+series is the stroboscopic one.  The runs are derandomized, so Tier-1
+stays deterministic.
 """
 
 import numpy as np
@@ -20,8 +27,8 @@ from hypothesis import strategies as st
 from qprobe.errors import IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_dense, spectral_full, spectral_reduce
-from qprobe.superop import DEFAULT_COND_LIMIT, build_superops, detection_stats
-from qprobe.verify import dense_reference_stats
+from qprobe.superop import DEFAULT_COND_LIMIT, build_superops, detection_stats, fn_series
+from qprobe.verify import dense_reference_stats, stroboscopic_fn_direct
 from test_model import assert_reductions_agree, gauged
 
 MOMENTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq")
@@ -104,3 +111,34 @@ def test_real_models_reduce_like_their_complex_gauge_twins(case):
     a = spectral_reduce(model)
     assert a.reduced_dim == levels          # each planted level is one bright cluster
     assert_reductions_agree(a, spectral_reduce(gauged(model)))
+
+
+# either family with its level count: the planted pair of models() is one level
+any_models = st.one_of(real_models(), models().map(lambda model: (model, model.dim - 1)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=any_models, dist=laws, twin=st.booleans())
+def test_return_problem_is_quantized(case, dist, twin):
+    model, levels = case
+    model = build_dense(model.hamiltonian, model.psi_d, model.psi_d)
+    if twin:
+        model = gauged(model)
+    sset = build_superops(spectral_reduce(model), dist)
+    try:
+        stats = detection_stats(sset, dist)
+    except IllConditionedError:
+        assert dense_reference_stats(sset)["condition"] > DEFAULT_COND_LIMIT / 10
+        return
+    assert abs(stats.p_det - 1.0) <= 1e-10
+    assert abs(stats.n_mean - levels) <= 1e-9 * levels
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=any_models, tau=st.floats(0.3, 0.9), twin=st.booleans())
+def test_fixed_interval_series_is_stroboscopic(case, tau, twin):
+    model, _ = case
+    if twin:
+        model = gauged(model)
+    series = fn_series(build_superops(spectral_reduce(model), FixedInterval(tau)), 30)
+    assert np.abs(series - stroboscopic_fn_direct(model, tau, 30)).max() <= 1e-10
