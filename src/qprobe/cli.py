@@ -116,6 +116,23 @@ def _opened_out(path):
         yield fh
 
 
+class _JsonFloats(list):
+    """A float array that ``json.dump`` writes as a list of floats, one
+    element at a time, so no list of Python floats is ever held.  The
+    pure-Python encoder that ``json.dump`` runs reads only ``len`` and the
+    iterator of a list."""
+
+    def __init__(self, values: np.ndarray):
+        super().__init__()
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return map(float, self._values)
+
+
 def _emit(fh, fmt: str, doc: dict | None, header=(), rows=()) -> None:
     """Write ``doc`` as JSON, or ``header`` and ``rows`` as CSV, to ``fh``."""
     if fmt == "json":
@@ -164,7 +181,7 @@ def cmd_fn(args) -> int:
     with _opened_out(args.out) as fh:
         series = fn_series(build_superops(sd, dist), nmax)
         np.maximum(series, 0.0, out=series)   # clamp roundoff negatives on output only
-        doc = {"config": cfg, "fn": list(series)} if args.format == "json" else None
+        doc = {"config": cfg, "fn": _JsonFloats(series)} if args.format == "json" else None
         _emit(fh, args.format, doc, ["n", "fn"],
               ([n, repr(float(value))] for n, value in enumerate(series, 1)))
     return 0

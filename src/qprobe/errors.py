@@ -12,7 +12,8 @@ class InvalidModelError(QprobeError):
 
 
 class DegenerateProblemError(QprobeError):
-    """The detection state has no overlap with any energy eigenspace."""
+    """The problem has no conditional statistics: the detection probability
+    vanishes, or the initial state has no overlap with the bright subspace."""
 
 
 class DivergenceError(QprobeError):
@@ -52,7 +53,7 @@ class IllConditionedError(QprobeError):
     """
 
     def __init__(self, condition: float, pairs: list[tuple[int, int, float]],
-                 p_min: float | None = None, p_min_index: int | None = None):
+                 p_min: float, p_min_index: int):
         self.condition = condition
         self.pairs = pairs
         self.p_min = p_min
@@ -60,8 +61,6 @@ class IllConditionedError(QprobeError):
         detail = ", ".join(f"({i},{j}) |phi|={m:.12f}" for i, j, m in pairs[:8])
         if len(pairs) > 8:
             detail += f", ... ({len(pairs)} pairs total)"
-        message = (f"linear system is ill-conditioned (cond ~ {condition:.3e}); "
-                   f"energy pairs with charfn near 1, closest first: [{detail}]")
-        if p_min is not None:
-            message += f"; smallest detection weight p[{p_min_index}] = {p_min:.3e}"
-        super().__init__(message)
+        super().__init__(f"linear system is ill-conditioned (cond ~ {condition:.3e}); "
+                         f"energy pairs with charfn near 1, closest first: [{detail}]; "
+                         f"smallest detection weight p[{p_min_index}] = {p_min:.3e}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProblemError, InvalidModelError
+from .errors import InvalidModelError
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -207,9 +207,13 @@ def _eigenbasis(model: QuantumModel):
 
 
 def spectral_reduce(model: QuantumModel,
-                    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-                    dark_tol: float = DEFAULT_DARK_TOL) -> SpectralData:
+                    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> SpectralData:
     """Diagonalize, cluster degenerate energies, and drop dark clusters.
+
+    A cluster is dark when its detection weight p_j is at most
+    DEFAULT_DARK_TOL = 1e-12.  Some cluster is always bright: the weights
+    sum to |psi_d|^2 >= 1 - 2e-12 over at most N clusters, so the largest
+    is at least 1.2e-4 for any ring the dense budget admits.
 
     Each cluster keeps a single bright state: the normalized projection
     of the detection state onto the cluster's eigenspace.  Its phase is
@@ -231,10 +235,7 @@ def spectral_reduce(model: QuantumModel,
     tol = max(degeneracy_tol, 8 * len(w) * np.finfo(float).eps * float(np.max(np.abs(w))))
     starts = _cluster_starts(w, tol)
     p = np.add.reduceat(np.abs(comp_d) ** 2, starts)
-    keep = p > dark_tol
-    if not keep.any():
-        raise DegenerateProblemError(
-            "detection state has no overlap with any energy eigenspace")
+    keep = p > DEFAULT_DARK_TOL
     p = p[keep]
     sizes = np.diff(starts, append=len(w))
     energies = np.add.reduceat(w, starts) / sizes

@@ -381,27 +381,26 @@ class _PseudoInverseSolver:
         return self._pinv @ b
 
 
-def _exceptional_pairs(sset: SuperoperatorSet, cond_limit: float):
+def _exceptional_pairs(sset: SuperoperatorSet):
     """Off-diagonal energy pairs whose averaged phase factor is near 1.
 
     A pair with charfn(E_j - E_k) -> 1 makes the resolvent singular.  At a
     fixed interval the condition grows like c / |1 - phi|^2 (c measured at
-    1-14 on rings up to Nr=21), so the gate ``cond_limit`` fires while
+    1-14 on rings up to Nr=21), so the gate DEFAULT_COND_LIMIT fires while
     |1 - phi| is still ~1e-6; pairs within sqrt(EXCEPTIONAL_COND_SCALE /
-    cond_limit) of 1 are named, closest first, as ``(j, k, |phi|)``.
+    DEFAULT_COND_LIMIT) of 1 are named, closest first, as ``(j, k, |phi|)``.
     """
     n = sset.dim
     gap = np.abs(1.0 - sset.phase_avg).reshape(n, n)
     np.fill_diagonal(gap, np.inf)
-    j, k = np.nonzero(gap <= np.sqrt(EXCEPTIONAL_COND_SCALE / cond_limit))
+    j, k = np.nonzero(gap <= np.sqrt(EXCEPTIONAL_COND_SCALE / DEFAULT_COND_LIMIT))
     order = np.argsort(gap[j, k], kind="stable")
     mag = np.abs(sset.phase_avg).reshape(n, n)
     return [(int(a), int(b), float(mag[a, b])) for a, b in zip(j[order], k[order])]
 
 
 def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
-                    pseudo_inverse: bool = False,
-                    cond_limit: float = DEFAULT_COND_LIMIT) -> DetectionStatistics:
+                    pseudo_inverse: bool = False) -> DetectionStatistics:
     """Total detection probability and conditional attempt/time moments.
 
     All moments come from repeated solves against the resolvent applied to
@@ -410,17 +409,17 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     conditioned on eventual detection.
 
     Raises IllConditionedError when the estimated condition number exceeds
-    ``cond_limit`` (typically at an exceptional fixed probing period or a
-    near-degenerate spectrum), unless ``pseudo_inverse`` is set, in which
-    case a truncated-SVD pseudo-inverse is used instead.  Raises
+    DEFAULT_COND_LIMIT = 1e12 (typically at an exceptional fixed probing
+    period or a near-degenerate spectrum), unless ``pseudo_inverse`` is
+    set, in which case a truncated-SVD pseudo-inverse is used instead.  Raises
     MomentOverflowError, naming the first moment that is not finite, when
     a moment overflows a double although the interval law's do not.
     """
     solver = _PseudoInverseSolver(sset) if pseudo_inverse else sset._solver
-    if solver.condition > cond_limit and not pseudo_inverse:
+    if solver.condition > DEFAULT_COND_LIMIT and not pseudo_inverse:
         j = int(np.argmin(sset.p_detect))
-        raise IllConditionedError(solver.condition, _exceptional_pairs(sset, cond_limit),
-                                  p_min=float(sset.p_detect[j]), p_min_index=j)
+        raise IllConditionedError(solver.condition, _exceptional_pairs(sset),
+                                  float(sset.p_detect[j]), j)
 
     src = sset.phase_avg * sset.source_vec
     f1 = solver.solve(src)                # geometric sum of the series
@@ -434,7 +433,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
             raise DegenerateProblemError(
                 "detection probability vanishes: the initial state has no overlap "
                 "with the bright subspace, so conditional moments are undefined")
-        pairs = _exceptional_pairs(sset, cond_limit)
+        pairs = _exceptional_pairs(sset)
         raise DegenerateProblemError(
             f"detection probability vanishes although the bright weight is "
             f"{bright_weight:.6g}: the interval law is exceptional for this spectrum "
@@ -473,8 +472,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     )
 
 
-def zero_mode_census(sset: SuperoperatorSet,
-                     tol: float = DEFAULT_ZERO_TOL) -> ZeroModeCensus:
+def zero_mode_census(sset: SuperoperatorSet) -> ZeroModeCensus:
     """Count zero modes of the transfer matrix T and find its slowest decay.
 
     The spectral radius rho of T sets the asymptotic decay rate of the
@@ -486,21 +484,19 @@ def zero_mode_census(sset: SuperoperatorSet,
 
     Up to ``DENSE_CENSUS_MAX_DIM``, or when the structured solve cannot be
     formed, dense ``eigvals`` of T counts the eigenvalues with |lam| <
-    ``tol`` as zero modes.  Above it, Arnoldi on (T - I)^-1 = -J^-1, the
-    O(Nr^2) structured solve, finds its dominant eigenvalues nu, and lam =
-    1 + 1/nu (the iteration of ARPACK's shift-invert mode at 1); ``n_zero``
-    is the structural 2 Nr - 1: the nullity of T, since rank(S (x) S) =
-    (Nr - 1)^2 and no interval law gives phi = 0.  ``tol`` does not apply
-    on that branch.  Raises ConvergenceError when Arnoldi does not converge
+    DEFAULT_ZERO_TOL = 1e-8 as zero modes.  Above it, Arnoldi on
+    (T - I)^-1 = -J^-1, the O(Nr^2) structured solve, finds its dominant
+    eigenvalues nu, and lam = 1 + 1/nu (the iteration of ARPACK's
+    shift-invert mode at 1); ``n_zero`` is the structural 2 Nr - 1: the
+    nullity of T, since rank(S (x) S) = (Nr - 1)^2 and no interval law
+    gives phi = 0.  Raises ConvergenceError when Arnoldi does not converge
     or its Ritz value nearest 1 is not a real eigenvalue of largest modulus
     among those returned.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     n = sset.dim
     if n <= DENSE_CENSUS_MAX_DIM or not np.isfinite(sset._solver.condition):
         mags = np.abs(np.linalg.eigvals(sset.transfer))
-        n_zero = int(np.sum(mags < tol))
+        n_zero = int(np.sum(mags < DEFAULT_ZERO_TOL))
         return ZeroModeCensus(n_zero=n_zero, n_nonzero=mags.size - n_zero,
                               slowest_decay=complex(mags.max()), structural=False)
 
@@ -526,15 +522,14 @@ def zero_mode_census(sset: SuperoperatorSet,
 
 
 def universal_identity_check(sset: SuperoperatorSet,
-                             dist: IntervalDistribution,
-                             pseudo_inverse: bool = False) -> IdentityReport:
+                             dist: IntervalDistribution) -> IdentityReport:
     """Residuals of the distribution-free moment identities.
 
     The mean detection time always equals the mean interval times the mean
     attempt number.  For the return problem the second moments are tied as
     well: t-second-moment = mean^2 * n-second-moment + Nr * Var[tau].
     """
-    stats = detection_stats(sset, dist, pseudo_inverse=pseudo_inverse)
+    stats = detection_stats(sset, dist)
     t_res = abs(stats.t_mean - dist.mean * stats.n_mean)
     t_sq_res = None
     if sset.is_return:

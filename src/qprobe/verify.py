@@ -253,8 +253,9 @@ CHECKS = [
 ]
 
 
-def run_verify(level: str = "quick", out=print) -> bool:
-    """Run the verification suite; returns True when everything passes.
+def run_verify(level: str = "quick") -> bool:
+    """Run the verification suite, printing one PASS or FAIL line per
+    check; returns True when everything passes.
 
     A check fails on an AssertionError or a QprobeError; either way it is
     reported by name and the checks after it still run.
@@ -271,10 +272,10 @@ def run_verify(level: str = "quick", out=print) -> bool:
             fn()
         except AssertionError as exc:
             all_ok = False
-            out(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         except QprobeError as exc:        # a solve or census that failed loudly
             all_ok = False
-            out(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
-            out(f"PASS {name} ({time.perf_counter() - start:.2f}s)")
+            print(f"PASS {name} ({time.perf_counter() - start:.2f}s)")
     return all_ok

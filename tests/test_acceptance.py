@@ -182,7 +182,7 @@ def test_criterion_09_zero_mode_census():
         sd = spectral_reduce(model)
         for dist in (ExponentialInterval(0.6), GammaInterval(5.0, 0.6),
                      GammaInterval(25.0, 0.6)):
-            census = zero_mode_census(build_superops(sd, dist), tol=1e-8)
+            census = zero_mode_census(build_superops(sd, dist))
             n = sd.reduced_dim
             if census.n_zero < 2 * n - 1 or census.n_nonzero > (n - 1) ** 2:
                 ok = False

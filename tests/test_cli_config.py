@@ -672,23 +672,35 @@ def test_cli_main_builds_its_parser_once(monkeypatch, capsys):
     assert capsys.readouterr().err.count("config error: missing required key") == 2
 
 
-def test_cli_fn_csv_holds_one_series(monkeypatch):
-    # past a fixed cost (the csv writer's record buffer, the I/O layer), a
-    # CSV run holds one float64 per entry: no clamped copy, no list of floats
+def _fn_peak_growth(monkeypatch, fmt):
+    """Traced peak growth of an ``fn`` run per float64 of its series, past
+    the fixed cost of a small run."""
     monkeypatch.setattr(cli, "fn_series", lambda sset, n: np.linspace(-0.01, 0.5, n))
 
     def peak(nmax):
         tracemalloc.start()
         try:
-            assert cli.main(["fn", *RING7, "--dist", "exp", "--mean", "0.6",
-                             "--nmax", str(nmax), "--out", os.devnull]) == 0
+            assert cli.main(["fn", *RING7, "--dist", "exp", "--mean", "0.6", "--nmax",
+                             str(nmax), "--format", fmt, "--out", os.devnull]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     base, nmax = 1 << 12, 1 << 16
     peak(base)
-    assert (peak(nmax) - peak(base)) / (8 * (nmax - base)) <= 1.2
+    return (peak(nmax) - peak(base)) / (8 * (nmax - base))
+
+
+def test_cli_fn_csv_holds_one_series(monkeypatch):
+    # past a fixed cost (the csv writer's record buffer, the I/O layer), a
+    # CSV run holds one float64 per entry: no clamped copy, no list of floats
+    assert _fn_peak_growth(monkeypatch, "csv") <= 1.2
+
+
+def test_cli_fn_json_holds_one_series(monkeypatch):
+    # the JSON encoder reads the series one float at a time: no list of
+    # float64 scalars beside the array (5.1x the series before)
+    assert _fn_peak_growth(monkeypatch, "json") <= 1.2
 
 
 MODEL_FLAGS = ["--model", "--L", "--gamma", "--xin", "--xd", "--dist", "--tau", "--mean",

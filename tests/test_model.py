@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from qprobe.closedform import ring_nbar_exp
-from qprobe.errors import DegenerateProblemError, InvalidModelError
+from qprobe.errors import InvalidModelError
 from qprobe.intervals import ExponentialInterval, GammaInterval
 from qprobe.model import (QuantumModel, basis_state, build_dense, build_ring,
                           build_two_level, spectral_full, spectral_reduce)
@@ -238,12 +238,6 @@ def test_large_energy_scales_reduce_like_unit_hopping(L, x_in, nr):
             nbar = ring_nbar_exp(L, x_in, gamma, 0.6)
             assert stats.n_mean == pytest.approx(nbar, rel=1e-9), gamma
     assert max(abs(p - p_det[1.0]) for p in p_det.values()) < 1e-12
-
-
-def test_all_dark_detection_raises():
-    # an absurd dark threshold discards every cluster
-    with pytest.raises(DegenerateProblemError):
-        spectral_reduce(build_ring(5, 1.0, 0, 0), dark_tol=2.0)
 
 
 def test_spectral_full_keeps_everything():

@@ -1,5 +1,5 @@
-"""Property tests: the structured moments against the dense oracle, and
-real against complex diagonalization.
+"""Property tests: the structured moments, the census and the series
+against dense oracles, and real against complex diagonalization.
 
 Random dense models of dimension 3-6 with one planted degenerate pair,
 random complex initial and detection states, and fixed, exponential and
@@ -16,8 +16,13 @@ On both families, real or under a complex gauge: a return problem
 (psi_in = psi_d) is detected with certainty after, on average, as many
 attempts as there are levels (Grunbaum, Velazquez, Werner and Werner,
 Commun. Math. Phys. 320, 2013), and under a fixed interval the averaged
-series is the stroboscopic one.  The runs are derandomized, so Tier-1
-stays deterministic.
+series is the stroboscopic one.
+
+At Nr = 13-16, real and complex, where the census runs shift-invert
+Arnoldi, its Perron root matches max|eigvals| of the dense transfer
+matrix.  At n = 3-6 the partial sums of the averaged series plus their
+tail, taken from the dense transfer matrix, reach p_det.  The runs are
+derandomized, so Tier-1 stays deterministic.
 """
 
 import numpy as np
@@ -27,7 +32,8 @@ from hypothesis import strategies as st
 from qprobe.errors import IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_dense, spectral_full, spectral_reduce
-from qprobe.superop import DEFAULT_COND_LIMIT, build_superops, detection_stats, fn_series
+from qprobe.superop import (DEFAULT_COND_LIMIT, DENSE_CENSUS_MAX_DIM, build_superops,
+                            detection_stats, fn_series, zero_mode_census)
 from qprobe.verify import dense_reference_stats, stroboscopic_fn_direct
 from test_model import assert_reductions_agree, gauged
 
@@ -39,19 +45,25 @@ def _rtol(cond: float) -> float:
 
 
 @st.composite
-def models(draw):
-    """A dense model whose two lowest energies coincide exactly; the other
-    gaps lie in [0.05, 3], so fixed intervals can come near resonance."""
-    n = draw(st.integers(3, 6))
+def models(draw, n_min=3, n_max=6, real=False):
+    """A dense model of dimension n_min-n_max whose two lowest energies
+    coincide exactly; the other gaps lie in [0.05, 3], so fixed intervals
+    can come near resonance.  Complex, or real when ``real`` is set."""
+    n = draw(st.integers(n_min, n_max))
     gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 2, max_size=n - 2))
     e0 = draw(st.floats(-2.0, 2.0))
     energies = e0 + np.concatenate([[0.0, 0.0], np.cumsum(gaps)])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = rng.standard_normal((n, n))
+    if not real:
+        z = z + 1j * rng.standard_normal((n, n))
     u, _ = np.linalg.qr(z)
     h = (u * energies) @ u.conj().T
     h = 0.5 * (h + h.conj().T)
-    psi_in, psi_d = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    psi = rng.standard_normal((2, n))
+    if not real:
+        psi = psi + 1j * rng.standard_normal((2, n))
+    psi_in, psi_d = psi
     return build_dense(h, psi_in / np.linalg.norm(psi_in), psi_d / np.linalg.norm(psi_d))
 
 
@@ -142,3 +154,37 @@ def test_fixed_interval_series_is_stroboscopic(case, tau, twin):
         model = gauged(model)
     series = fn_series(build_superops(spectral_reduce(model), FixedInterval(tau)), 30)
     assert np.abs(series - stroboscopic_fn_direct(model, tau, 30)).max() <= 1e-10
+
+
+# Nr = 13-16 after the planted pair: the census runs shift-invert Arnoldi
+arnoldi_models = st.one_of(*(models(DENSE_CENSUS_MAX_DIM + 2, DENSE_CENSUS_MAX_DIM + 5, real)
+                             for real in (False, True)))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(model=arnoldi_models, dist=laws)
+def test_arnoldi_census_matches_dense_eigvals(model, dist):
+    sset = build_superops(spectral_reduce(model), dist)
+    census = zero_mode_census(sset)
+    assert census.structural
+    rho = np.abs(np.linalg.eigvals(sset.transfer)).max()
+    assert abs(census.slowest_decay - rho) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(model=models(), dist=laws)
+def test_partial_sums_reach_p_det(model, dist):
+    # p_det - S_N is the tail sum_{n > N} F_n = 1^T (I - T)^-1 T^N (phi o src),
+    # taken from the dense transfer matrix by repeated squaring
+    sset = build_superops(spectral_reduce(model), dist)
+    try:
+        stats = detection_stats(sset, dist)
+    except IllConditionedError:
+        assert dense_reference_stats(sset)["condition"] > DEFAULT_COND_LIMIT / 10
+        return
+    n = 4000
+    partial = fn_series(sset, n).sum()
+    src = sset.phase_avg * sset.source_vec
+    tail = np.linalg.solve(sset.resolvent, np.linalg.matrix_power(sset.transfer, n) @ src)
+    assert partial <= stats.p_det + 1e-12
+    assert abs(partial + tail.sum().real - stats.p_det) <= _rtol(stats.condition) * stats.p_det

@@ -23,7 +23,7 @@ from qprobe.model import (build_dense, build_ring, build_two_level,
 from qprobe.superop import (PINV_DENSE_ARRAYS, SuperoperatorSet, build_superops,
                             detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
-from qprobe.verify import dense_reference_stats, stroboscopic_fn_direct
+from qprobe.verify import dense_reference_stats, run_verify, stroboscopic_fn_direct
 
 
 def tls_superops(dist, gamma=1.0, x_in=0):
@@ -132,12 +132,6 @@ def test_fn_series_rejects_bad_nmax():
     sset = tls_superops(ExponentialInterval(0.6))
     with pytest.raises(ValueError):
         fn_series(sset, 0)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
-def test_zero_mode_census_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol must be positive"):
-        zero_mode_census(tls_superops(ExponentialInterval(0.6)), tol=tol)
 
 
 def test_l24_exponential_and_fixed_headline_numbers():
@@ -457,6 +451,25 @@ def test_ill_conditioned_message_lists_eight_pairs_and_the_total():
     assert message.count("|phi|=") == 8
     assert "(7,8) |phi|=0.993000000000, ... (10 pairs total)]" in message
     assert message.endswith("; smallest detection weight p[4] = 1.000e-13")
+
+
+def test_fixed_thresholds_are_not_keywords():
+    # the condition gate, the zero-mode threshold and the dark cutoff are
+    # module constants, and the verify printer and the identity check's
+    # solver are fixed; passing any of them is an error
+    dist = ExponentialInterval(0.6)
+    sset = tls_superops(dist)
+    calls = [
+        lambda: detection_stats(sset, dist, cond_limit=1e12),
+        lambda: zero_mode_census(sset, tol=1e-8),
+        lambda: spectral_reduce(build_two_level(1.0), dark_tol=1e-12),
+        lambda: universal_identity_check(sset, dist, pseudo_inverse=False),
+        lambda: IllConditionedError(1e17, []),
+        lambda: run_verify("quick", out=print),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_exceptional_fixed_period_names_only_resonant_pair():
