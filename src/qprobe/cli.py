@@ -9,14 +9,18 @@ config file (``--model``) and/or flags; flags override the file.
 Each subcommand takes only the flags it reads.  The model and law flags
 (--model --L --gamma --xin --xd --dist --tau --mean --alpha) are on all
 four model subcommands.  The exact interval average adds
---degeneracy-tol (``stats``, ``fn``, ``sweep``) and --pseudo-inverse
-(``stats``, ``sweep``, the subcommands that solve); the Monte Carlo adds
+--degeneracy-tol (``stats``, ``fn``, ``sweep``); the Monte Carlo adds
 --seed (``mc``).  A ``seed`` key in a --model file is checked by every
 subcommand.
 
+``stats`` prints Nr, the spectrum's bright levels, as ``reduced_dim``, and
+as ``stats.reduced_dim`` the levels solved in: fewer at an exceptional
+fixed period, where levels sharing an eigenphase of U(tau) are merged.
+
 Exit codes: 0 on success, 1 on numerical failure (ill-conditioned solve,
-closed-form divergence, an eigenvalue iteration that fails its check),
-2 on configuration errors (out-of-range flag values and an unwritable
+as near an exceptional fixed period; closed-form divergence; an
+eigenvalue iteration that fails its check), 2 on configuration errors
+(out-of-range flag values and an unwritable
 --out included), on degenerate problems, on dense matrices over the
 memory budget and on a moment that overflows a double (an interval
 scale too large for the model).
@@ -60,15 +64,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="gamma shape parameter")
 
 
-def _add_exact_flags(p: argparse.ArgumentParser, solve: bool = True) -> None:
-    """The flags of the exact interval average; --pseudo-inverse only
-    where a moment solve runs."""
+def _add_exact_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the exact interval average."""
     p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL,
                    help="energy clustering tolerance (default %(default)g), raised to "
                         "eigh's error bound 8 N eps max|E| where that is larger")
-    if solve:
-        p.add_argument("--pseudo-inverse", action="store_true",
-                       help="use a truncated-SVD pseudo-inverse on singular solves")
 
 
 def _merged_config(args) -> tuple[dict[str, str], int]:
@@ -149,7 +149,7 @@ def cmd_stats(args) -> int:
     sd = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
     sset = build_superops(sd, dist)
-    stats = detection_stats(sset, dist, pseudo_inverse=args.pseudo_inverse)
+    stats = detection_stats(sset, dist)
     census = zero_mode_census(sset)
     moments = stats.as_dict()
     diagnostics = {key: moments.pop(key) for key in ("backend", "residual")}
@@ -187,7 +187,7 @@ def cmd_fn(args) -> int:
     return 0
 
 
-def run_sweep(sd, axis: str, points, outputs, pseudo_inverse: bool) -> list[dict]:
+def run_sweep(sd, axis: str, points, outputs) -> list[dict]:
     """Evaluate every (grid value, interval law) point in order;
     ill-conditioned points are flagged in-row.  Rows whose point ran
     ``detection_stats`` (every row unless ``outputs`` is only lambda_max)
@@ -199,7 +199,7 @@ def run_sweep(sd, axis: str, points, outputs, pseudo_inverse: bool) -> list[dict
             sset = build_superops(sd, dist)
             stats = None
             if set(outputs) - {"lambda_max"}:
-                stats = detection_stats(sset, dist, pseudo_inverse=pseudo_inverse)
+                stats = detection_stats(sset, dist)
             for name in outputs:
                 if name == "lambda_max":
                     row[name] = abs(zero_mode_census(sset).slowest_decay)
@@ -241,7 +241,7 @@ def cmd_sweep(args) -> int:
     points = [(v, cfgmod.distribution_from_config({**cfg, key: str(v)})) for v in grid]
     sd = _reduce_from_args(args, cfg)
     with _opened_out(args.out) as fh:
-        rows = run_sweep(sd, args.axis, points, outputs, args.pseudo_inverse)
+        rows = run_sweep(sd, args.axis, points, outputs)
         _emit(fh, args.format, {"config": cfg, "rows": rows},
               [args.axis, *outputs, "status"],
               ([repr(float(row[args.axis])),
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fn = sub.add_parser("fn", help="averaged detection series")
     _add_model_flags(p_fn)
-    _add_exact_flags(p_fn, solve=False)
+    _add_exact_flags(p_fn)
     p_fn.add_argument("--nmax", type=int, required=True, help="series length")
     p_fn.add_argument("--out", help="output file ('-' for stdout)")
     p_fn.add_argument("--format", choices=("csv", "json"), default="csv")

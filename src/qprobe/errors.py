@@ -45,7 +45,7 @@ class IllConditionedError(QprobeError):
     Carries the estimated condition number and the energy pairs (j, k,
     |phi|) whose averaged phase factor phi = charfn(E_j - E_k) is near 1,
     closest first, which is the structure that drives the singularity
-    (near-degenerate evolution, exceptional probing period, or a
+    (near-degenerate evolution, a period near an exceptional one, or a
     waiting-time density collapsing to a point).  ``p_min`` and
     ``p_min_index`` give the smallest detection weight p_j, the other
     cause: the moments grow like 1/p_min, so a tiny p_j alone can trip

@@ -146,8 +146,8 @@ class SpectralData:
         Bright states as columns in the site basis.  Real only from
         ``spectral_full`` of a real H, whose eigenvectors are real.
     reduced : bool
-        False for the raw full-space variant, where dark clusters are kept
-        and ``p_detect`` may contain zeros (pseudo-inverse path only).
+        False for the raw full-space variant, where degenerate levels
+        repeat and ``p_detect`` may contain zeros (cross-checks only).
     """
 
     energies: np.ndarray
@@ -257,8 +257,8 @@ def spectral_full(model: QuantumModel) -> SpectralData:
     """Raw eigenbasis variant without dark-state elimination.
 
     Degenerate energies repeat and detection overlaps may vanish, so the
-    downstream linear systems are singular; this path exists only for the
-    pseudo-inverse treatment and for cross-checks against the reduced one.
+    downstream linear systems are singular; this path exists only for
+    cross-checks against the reduced one.
     ``bright`` holds the eigenvectors as ``eigh`` returns them: real for a
     real H, with arbitrary signs (phases) and bases inside degenerate levels.
     """

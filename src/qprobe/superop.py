@@ -32,8 +32,10 @@ and the zero-mode census all share that one solver, the only pair-space
 operator applied.  The census finds the slowest decay rate, the Perron
 root of the transfer map and its eigenvalue nearest 1, as 1 + 1/nu for
 the dominant eigenvalue nu of -J^-1.  The Nr^2 x Nr^2 matrices are formed
-only for the opt-in pseudo-inverse, the census of small sets (Nr <= 12)
-and the dense test oracles, and never above a 1 GiB budget.
+only for the census of small sets (Nr <= 12) and the dense test oracles,
+and never above a 1 GiB budget.  At an exceptional fixed period,
+levels sharing an eigenphase of U(tau) are merged, so the same solve
+works in the eigenspaces of U(tau).
 """
 
 from __future__ import annotations
@@ -46,16 +48,15 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                      IllConditionedError, MomentOverflowError)
-from .intervals import IntervalDistribution
+from .intervals import FixedInterval, IntervalDistribution
 from .model import DENSE_MAX_BYTES, PDET_FLOOR, SpectralData
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_ZERO_TOL = 1e-8
-PINV_RTOL = 1e-10
 EXCEPTIONAL_COND_SCALE = 1e4
 DENSE_CENSUS_MAX_DIM = 12          # dense eigvals up to a 144^2 transfer matrix
 NORM1_ITMAX = 5                    # zlacn2's ITMAX: solve pairs of the 1-norm estimate
-PINV_DENSE_ARRAYS = 9              # J, zgesdd's copy, factors and workspace: 8.6-8.8x in RSS
+PHASE_MERGE_TOL = 1e-12            # |1 - phi_jk| at one eigenphase of U(tau): <= 19 eps, rings L <= 41
 
 
 def _survive(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -87,8 +88,8 @@ class SuperoperatorSet:
     set.  ``survive`` applies S (x) S in O(Nr^2); the dense Nr^2 x Nr^2
     matrices ``proj_kron`` (S (x) S), ``transfer`` (diag(phase_avg) @
     proj_kron) and ``resolvent`` (I - transfer) are built afresh on every
-    access, for the SVD and eigenvalue routines and the dense test oracles
-    that need them, and refused with DenseSizeError above DENSE_MAX_BYTES.
+    access, for the small census and the dense test oracles that need
+    them, and refused with DenseSizeError above DENSE_MAX_BYTES.
     """
 
     dim: int
@@ -116,13 +117,13 @@ class SuperoperatorSet:
     def _solver(self) -> _ResolventSolver:
         return _ResolventSolver(self.p_detect, self.phase_avg.reshape(self.dim, self.dim))
 
-    def _check_dense_budget(self, arrays: int = 1) -> None:
-        """Raise DenseSizeError when ``arrays`` complex Nr^2 x Nr^2 arrays
-        would take more than DENSE_MAX_BYTES; called before allocating them."""
-        nbytes = arrays * 16 * self.dim**4
+    def _check_dense_budget(self) -> None:
+        """Raise DenseSizeError when a complex Nr^2 x Nr^2 array would take
+        more than DENSE_MAX_BYTES; called before allocating it."""
+        nbytes = 16 * self.dim**4
         if nbytes > DENSE_MAX_BYTES:
             raise DenseSizeError(
-                f"{arrays} dense Nr^2 x Nr^2 array(s) at Nr={self.dim} needs {nbytes} bytes, "
+                f"a dense Nr^2 x Nr^2 array at Nr={self.dim} needs {nbytes} bytes, "
                 f"over the {DENSE_MAX_BYTES}-byte budget")
 
     @property
@@ -155,8 +156,9 @@ class DetectionStatistics:
     """Conditional first-detection moments plus solver diagnostics.
 
     ``condition`` estimates cond_1 of the resolvent; ``backend`` names the
-    solver (``"structured"`` or ``"pinv"``) and ``residual`` is the relative
+    solver, always ``"structured"``, and ``residual`` is the relative
     residual ||b - J x|| / ||b|| (2-norms) of the first solve.
+    ``reduced_dim`` is the set's ``dim``, the levels solved in.
     """
 
     p_det: float
@@ -202,22 +204,35 @@ class IdentityReport:
 
 
 def build_superops(spec: SpectralData, dist: IntervalDistribution) -> SuperoperatorSet:
-    """Assemble the averaged superoperators for one spectral problem."""
+    """Assemble the averaged superoperators for one spectral problem.
+
+    Under a fixed interval, levels with phi_jk = exp(i (E_j - E_k) tau)
+    within PHASE_MERGE_TOL of 1 are one eigenspace of U(tau) and one level
+    of the set (``dim`` < Nr): weights p and cross amplitudes add, and the
+    first member's energy stands for all.  Other laws have |phi_jk| < 1.
+    """
     e = spec.energies
-    n = len(e)
     diff = e[:, None] - e[None, :]                    # E_j - E_k
-    phase = np.asarray(dist.charfn(diff), dtype=complex).ravel()
-    phase_t = np.asarray(dist.weighted_charfn(diff, 1), dtype=complex).ravel()
-    phase_tt = np.asarray(dist.weighted_charfn(diff, 2), dtype=complex).ravel()
-    source = (spec.cross_amp.conj()[:, None] * spec.cross_amp[None, :]).ravel()
+    phase = np.asarray(dist.charfn(diff), dtype=complex)
+    phase_t = np.asarray(dist.weighted_charfn(diff, 1), dtype=complex)
+    phase_tt = np.asarray(dist.weighted_charfn(diff, 2), dtype=complex)
+    p, amp = spec.p_detect.copy(), spec.cross_amp
+    if isinstance(dist, FixedInterval):
+        keep, group = np.unique(np.argmax(np.abs(1.0 - phase) <= PHASE_MERGE_TOL, axis=1),
+                                return_inverse=True)
+        if len(keep) < len(e):
+            e, ix = e[keep], np.ix_(keep, keep)
+            phase, phase_t, phase_tt = phase[ix], phase_t[ix], phase_tt[ix]
+            p = np.bincount(group, weights=p)
+            amp = np.bincount(group, weights=amp.real) + 1j * np.bincount(group, weights=amp.imag)
     return SuperoperatorSet(
-        dim=n,
+        dim=len(e),
         energies=e.copy(),
-        phase_avg=phase,
-        phase_avg_t=phase_t,
-        phase_avg_tt=phase_tt,
-        p_detect=spec.p_detect.copy(),
-        source_vec=source,
+        phase_avg=phase.ravel(),
+        phase_avg_t=phase_t.ravel(),
+        phase_avg_tt=phase_tt.ravel(),
+        p_detect=p,
+        source_vec=(amp.conj()[:, None] * amp[None, :]).ravel(),
         is_return=spec.is_return_problem(),
     )
 
@@ -363,24 +378,6 @@ class _ResolventSolver:
         return b + (_survive(self._p, x).ravel() / self._q).conj()
 
 
-class _PseudoInverseSolver:
-    """Solves J x = b by a truncated-SVD pseudo-inverse of the dense J
-    (cutoff PINV_RTOL relative); ``condition`` is s_max / s_min.  Its SVD
-    holds PINV_DENSE_ARRAYS arrays the size of J, budgeted before J is built."""
-
-    backend = "pinv"
-
-    def __init__(self, sset: SuperoperatorSet):
-        sset._check_dense_budget(PINV_DENSE_ARRAYS)
-        u, s, vh = np.linalg.svd(sset.resolvent)
-        keep = s > PINV_RTOL * s[0]
-        self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-        self.condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._pinv @ b
-
-
 def _exceptional_pairs(sset: SuperoperatorSet):
     """Off-diagonal energy pairs whose averaged phase factor is near 1.
 
@@ -399,8 +396,7 @@ def _exceptional_pairs(sset: SuperoperatorSet):
     return [(int(a), int(b), float(mag[a, b])) for a, b in zip(j[order], k[order])]
 
 
-def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
-                    pseudo_inverse: bool = False) -> DetectionStatistics:
+def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution) -> DetectionStatistics:
     """Total detection probability and conditional attempt/time moments.
 
     All moments come from repeated solves against the resolvent applied to
@@ -409,14 +405,14 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     conditioned on eventual detection.
 
     Raises IllConditionedError when the estimated condition number exceeds
-    DEFAULT_COND_LIMIT = 1e12 (typically at an exceptional fixed probing
-    period or a near-degenerate spectrum), unless ``pseudo_inverse`` is
-    set, in which case a truncated-SVD pseudo-inverse is used instead.  Raises
-    MomentOverflowError, naming the first moment that is not finite, when
-    a moment overflows a double although the interval law's do not.
+    DEFAULT_COND_LIMIT = 1e12 (typically near an exceptional fixed probing
+    period or at a near-degenerate spectrum).  Raises DegenerateProblemError
+    when p_det vanishes, and MomentOverflowError, naming the first moment
+    that is not finite, when a moment overflows a double although the
+    interval law's do not.
     """
-    solver = _PseudoInverseSolver(sset) if pseudo_inverse else sset._solver
-    if solver.condition > DEFAULT_COND_LIMIT and not pseudo_inverse:
+    solver = sset._solver
+    if solver.condition > DEFAULT_COND_LIMIT:
         j = int(np.argmin(sset.p_detect))
         raise IllConditionedError(solver.condition, _exceptional_pairs(sset),
                                   float(sset.p_detect[j]), j)
@@ -425,20 +421,11 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution,
     f1 = solver.solve(src)                # geometric sum of the series
     p_det = float(f1.sum().real)
     if p_det < PDET_FLOOR:
-        p = sset.p_detect                 # zero on dark clusters of a raw spectrum
-        q = np.divide(sset.source_vec.real[::sset.dim + 1], p, out=np.zeros_like(p),
-                      where=p > 0)
-        bright_weight = float(q.sum())
-        if bright_weight < PDET_FLOOR:
-            raise DegenerateProblemError(
-                "detection probability vanishes: the initial state has no overlap "
-                "with the bright subspace, so conditional moments are undefined")
-        pairs = _exceptional_pairs(sset)
+        # p_det is the bright weight sum |a_j|^2 / p_j (p_j > 0 past the gate)
+        bright_weight = float((sset.source_vec.real[::sset.dim + 1] / sset.p_detect).sum())
         raise DegenerateProblemError(
-            f"detection probability vanishes although the bright weight is "
-            f"{bright_weight:.6g}: the interval law is exceptional for this spectrum "
-            f"(charfn near 1 on {len(pairs)} energy pairs), so probing freezes the "
-            f"evolution and conditional moments are undefined")
+            f"detection probability vanishes: the initial state has no overlap with the bright "
+            f"subspace (bright weight {bright_weight:.6g}), so conditional moments are undefined")
     surv_f1 = sset.survive(f1)
     residual = np.linalg.norm(src - f1 + sset.phase_avg * surv_f1)
     f2 = solver.solve(f1)                 # n-weighted sum

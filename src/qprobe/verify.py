@@ -9,6 +9,7 @@ statistical Monte Carlo comparisons.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -17,8 +18,8 @@ from .closedform import ring_nbar_exp, ring_nsq_exp, ring_tsq_exp, tls_stats
 from .errors import QprobeError
 from .intervals import ExponentialInterval, FixedInterval, GammaInterval
 from .model import QuantumModel, build_ring, build_two_level, spectral_reduce
-from .superop import (PINV_RTOL, SuperoperatorSet, build_superops, detection_stats,
-                      fn_series, universal_identity_check, zero_mode_census)
+from .superop import (SuperoperatorSet, build_superops, detection_stats, fn_series,
+                      universal_identity_check, zero_mode_census)
 from .trajectory import run_bernoulli, run_per_realization
 
 
@@ -42,20 +43,15 @@ def stroboscopic_fn_direct(model: QuantumModel, tau0: float, n_max: int) -> np.n
     return out
 
 
-def dense_reference_stats(sset: SuperoperatorSet, pseudo_inverse: bool = False) -> dict:
+def dense_reference_stats(sset: SuperoperatorSet) -> dict:
     """The moments of ``detection_stats`` by dense linear algebra.
 
-    Forms the Nr^2 x Nr^2 resolvent J and solves with ``np.linalg.solve``
-    (or a dense pseudo-inverse at the same cutoff), so it costs O(Nr^6)
-    time and O(Nr^4) memory; ``condition`` is the exact cond_1(J).  The
-    slow-path oracle for the structured solve.
+    Forms the Nr^2 x Nr^2 resolvent J and solves with ``np.linalg.solve``,
+    so it costs O(Nr^6) time and O(Nr^4) memory; ``condition`` is the
+    exact cond_1(J).  The slow-path oracle for the structured solve.
     """
     j, k = sset.resolvent, sset.proj_kron
-    if pseudo_inverse:
-        jinv = np.linalg.pinv(j, rcond=PINV_RTOL)
-        solve = lambda b: jinv @ b                                   # noqa: E731
-    else:
-        solve = lambda b: np.linalg.solve(j, b)                      # noqa: E731
+    solve = functools.partial(np.linalg.solve, j)
     src = sset.source_vec
     f1 = solve(sset.phase_avg * src)
     f2 = solve(f1)
@@ -190,6 +186,16 @@ def _check_stroboscopic_quick():
         assert np.max(np.abs(series - direct)) < 1e-10, model.label
 
 
+def _check_exceptional_fixed_interval():
+    # tau = 2 pi / (E_max - E_min) on ring 5: three levels, two eigenphases of U(tau)
+    dist, model = FixedInterval(1.736629707381648), build_ring(5, 1.0, 1, 0)
+    st, ret = _stats_for(model, dist), _stats_for(build_ring(5, 1.0, 0, 0), dist)
+    direct = stroboscopic_fn_direct(model, dist.tau0, 200).sum()
+    assert st.reduced_dim == 2 and abs(st.p_det - direct) <= 1e-12, (st, direct)
+    assert ret.reduced_dim == 2 and abs(ret.p_det - 1.0) <= 1e-12, ret
+    assert abs(ret.n_mean - ret.reduced_dim) <= 1e-9, ret
+
+
 def _check_ring_closedform_grid():
     for L in range(3, 17):
         for x_d in range(0, L // 2 + 1):
@@ -245,6 +251,7 @@ CHECKS = [
     ("tls-closedform-vs-exact", "quick", _check_tls_closedform_match),
     ("ring-closedform-spot", "quick", _check_ring_closedform_spot),
     ("stroboscopic-oracle-quick", "quick", _check_stroboscopic_quick),
+    ("exceptional-fixed-interval", "quick", _check_exceptional_fixed_interval),
     ("ring-closedform-grid-3-16", "full", _check_ring_closedform_grid),
     ("stroboscopic-oracle-full", "full", _check_stroboscopic_full),
     ("mc-vs-exact-series", "full", _check_mc_fn_match),

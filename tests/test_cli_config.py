@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import tracemalloc
 import warnings
@@ -132,16 +133,33 @@ def test_cli_stats_return_quantization(capsys):
     assert doc["stats"]["p_det"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_cli_stats_exceptional_interval_exits_one(tmp_path, capsys):
+def test_cli_stats_exceptional_interval_merges_levels(tmp_path, capsys):
+    # tau = pi: U(tau) = -I on the two-level model, one merged level, so the
+    # return is certain at the first attempt; 1e-9 off pi the gate refuses
     cfg = tmp_path / "tls.cfg"
     cfg.write_text(TLS_DENSE + "dist=fixed\ntau=3.141592653589793\n")
-    rc = cli.main(["stats", "--model", str(cfg)])
+    assert cli.main(["stats", "--model", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["reduced_dim"], doc["stats"]["reduced_dim"]) == (2, 1)
+    assert doc["stats"]["p_det"] == pytest.approx(1.0, abs=1e-15)
+    assert doc["stats"]["n_mean"] == pytest.approx(1.0, abs=1e-15)
+    assert doc["diagnostics"]["backend"] == "structured"
+    assert cli.main(["stats", "--model", str(cfg), "--tau", "3.1415926567313"]) == 1
     captured = capsys.readouterr()
-    assert rc == 1
-    assert "ill-conditioned" in captured.err
-    rc = cli.main(["stats", "--model", str(cfg), "--pseudo-inverse"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["diagnostics"]["backend"] == "pinv"
+    assert captured.out == "" and "ill-conditioned" in captured.err
+
+
+def test_cli_stats_exceptional_interval_matches_the_fn_sum(capsys):
+    # tau = 2 pi / (E_max - E_min) on ring 5, the README example
+    ring5 = ["--L", "5", "--gamma", "1", "--xin", "1", "--xd", "0", "--dist", "fixed",
+             "--tau", "1.736629707381648"]
+    assert cli.main(["stats", *ring5]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["reduced_dim"], doc["stats"]["reduced_dim"]) == (3, 2)
+    assert cli.main(["fn", *ring5, "--nmax", "200", "--format", "json"]) == 0
+    total = math.fsum(json.loads(capsys.readouterr().out)["fn"])
+    assert total == pytest.approx(0.063661001875, abs=1e-12)
+    assert doc["stats"]["p_det"] == pytest.approx(total, abs=1e-12)
 
 
 def test_cli_stats_census_failure_exits_one(monkeypatch, capsys):
@@ -156,21 +174,6 @@ def test_cli_stats_census_failure_exits_one(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("numerical failure: shift-invert Arnoldi did not converge")
-
-
-def test_cli_stats_pseudo_inverse_over_dense_budget_exits_two(capsys):
-    # Nr = 201: one dense J would take 26 GB; refused before allocating it,
-    # so the traced peak stays at the spectral layer's few MB
-    tracemalloc.start()
-    try:
-        rc = cli.main(["stats", "--L", "400", "--gamma", "1", "--xin", "7", "--xd", "0",
-                       "--dist", "exp", "--mean", "0.6", "--pseudo-inverse"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert rc == 2 and peak < 64 * 2**20
-    assert err.startswith("error: ") and "Nr=201" in err and err.count("\n") == 1
 
 
 def test_cli_flag_overrides_file(tmp_path, capsys):
@@ -632,15 +635,18 @@ def test_cli_shared_flags_checked_on_every_subcommand(tmp_path, capsys, no_solve
     ("stats", ["--seed", "3"]),
     ("fn", ["--seed", "3"]),
     ("sweep", ["--seed", "3"]),
+    ("stats", ["--pseudo-inverse"]),
     ("fn", ["--pseudo-inverse"]),
+    ("sweep", ["--pseudo-inverse"]),
     ("mc", ["--pseudo-inverse"]),
     ("mc", ["--degeneracy-tol", "0.5"]),
-], ids=["stats-seed", "fn-seed", "sweep-seed", "fn-pseudo-inverse", "mc-pseudo-inverse",
-        "mc-degeneracy-tol"])
+], ids=["stats-seed", "fn-seed", "sweep-seed", "stats-pseudo-inverse", "fn-pseudo-inverse",
+        "sweep-pseudo-inverse", "mc-pseudo-inverse", "mc-degeneracy-tol"])
 def test_cli_flag_a_subcommand_does_not_read_exits_two(tmp_path, capsys, no_solve,
                                                        command, flags):
     # each subcommand takes only the flags it reads: the exact average has no
-    # seed, fn solves nothing and the Monte Carlo neither clusters nor solves
+    # seed, the Monte Carlo does not cluster, and there is one solver, so no
+    # subcommand takes a flag to choose it
     out = tmp_path / "x.csv"
     argv = SUBCOMMAND_ARGV[command]
     if command != "stats":
@@ -706,9 +712,9 @@ def test_cli_fn_json_holds_one_series(monkeypatch):
 MODEL_FLAGS = ["--model", "--L", "--gamma", "--xin", "--xd", "--dist", "--tau", "--mean",
                "--alpha"]
 SUBCOMMAND_FLAGS = {
-    "stats": [*MODEL_FLAGS, "--degeneracy-tol", "--pseudo-inverse"],
+    "stats": [*MODEL_FLAGS, "--degeneracy-tol"],
     "fn": [*MODEL_FLAGS, "--degeneracy-tol", "--nmax", "--out", "--format"],
-    "sweep": [*MODEL_FLAGS, "--degeneracy-tol", "--pseudo-inverse", "--axis", "--grid",
+    "sweep": [*MODEL_FLAGS, "--degeneracy-tol", "--axis", "--grid",
               "--outputs", "--out", "--format"],
     "mc": [*MODEL_FLAGS, "--seed", "--mode", "--nreal", "--ncut", "--n-abort", "--out"],
     "verify": ["--level"],
@@ -734,14 +740,12 @@ def test_cli_each_subcommand_takes_only_the_flags_it_reads():
 RING5 = ["--L", "5", "--gamma", "1", "--xin", "1", "--xd", "0"]
 FIXED = ["--dist", "fixed", "--tau", "0.6"]
 GAMMA = ["--dist", "gamma", "--alpha", "2", "--mean", "0.6"]
-# two tiny runs of each subcommand, together reading every flag, both formats and
-# both solvers
+# two tiny runs of each subcommand, together reading every flag and both formats
 MATRIX_BASES = {
-    "stats": [["stats", *RING5, *FIXED], ["stats", *RING5, *GAMMA, "--pseudo-inverse"]],
+    "stats": [["stats", *RING5, *FIXED], ["stats", *RING5, *GAMMA]],
     "fn": [["fn", *RING5, *FIXED, "--nmax", "5"],
            ["fn", *RING5, *GAMMA, "--nmax", "5", "--format", "json"]],
-    "sweep": [["sweep", *RING5, *FIXED, "--axis", "mean_tau", "--grid", "0.5,1",
-               "--pseudo-inverse"],
+    "sweep": [["sweep", *RING5, *FIXED, "--axis", "mean_tau", "--grid", "0.5,1"],
               ["sweep", *RING5, *GAMMA, "--axis", "alpha", "--grid", "2,3", "--format", "json"]],
     "mc": [["mc", *RING5, *FIXED, "--nreal", "20", "--n-abort", "20"],
            ["mc", *RING5, *GAMMA, "--mode", "per_realization", "--nreal", "20", "--ncut", "5"]],
@@ -825,14 +829,16 @@ def test_cli_mc_dark_initial_state_exits_two(tmp_path, capsys):
 
 
 def test_cli_stats_vanishing_pdet_names_its_cause(tmp_path, capsys):
-    # tau = pi on ring 4: every phase exp(-i E tau) is 1, so U(tau) = I
+    # tau = pi on ring 4: every phase exp(-i E tau) is 1, so U(tau) = I and
+    # the one merged level carries the amplitude <0|1> = 0
     rc = cli.main(["stats", "--L", "4", "--gamma", "1", "--xin", "1", "--xd", "0",
-                   "--dist", "fixed", "--tau", "3.141592653589793", "--pseudo-inverse"])
+                   "--dist", "fixed", "--tau", "3.141592653589793"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: detection probability vanishes although the bright "
-                          "weight is 0.5: the interval law is exceptional")
-    assert err.count("\n") == 1
+    prefix = ("error: detection probability vanishes: the initial state has no overlap "
+              "with the bright subspace (bright weight ")
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert float(err[len(prefix):].split(")")[0]) < 1e-30
     cfg = tmp_path / "dark.cfg"
     cfg.write_text(DARK_RING4)
     rc = cli.main(["stats", "--model", str(cfg), "--dist", "exp", "--mean", "0.6"])

@@ -16,7 +16,9 @@ On both families, real or under a complex gauge: a return problem
 (psi_in = psi_d) is detected with certainty after, on average, as many
 attempts as there are levels (Grunbaum, Velazquez, Werner and Werner,
 Commun. Math. Phys. 320, 2013), and under a fixed interval the averaged
-series is the stroboscopic one.
+series is the stroboscopic one.  Both also draw exceptional fixed periods
+tau = 2 pi m / (E_j - E_k), m = 1, 2, of the drawn levels, where the
+levels of U(tau) = exp(-i H tau) are its distinct eigenphases.
 
 At Nr = 13-16, real and complex, where the census runs shift-invert
 Arnoldi, its Perron root matches max|eigvals| of the dense transfer
@@ -72,6 +74,26 @@ laws = st.one_of(
     st.builds(ExponentialInterval, st.floats(0.3, 0.9)),
     st.builds(GammaInterval, st.floats(2.0, 20.0), st.floats(0.3, 0.9)),
 )
+# (m, j, k): the fixed period 2 pi m / |E_j - E_k| of two drawn levels,
+# the indices taken modulo the level count
+resonances = st.tuples(st.integers(1, 2), st.integers(0, 8), st.integers(1, 8))
+
+
+def _exceptional_period(energies, resonance):
+    """The period a drawn ``resonances`` tuple names, or None with one level."""
+    m, j, dk = resonance
+    n = len(energies)
+    if n < 2:
+        return None
+    j %= n
+    k = (j + 1 + dk % (n - 1)) % n
+    return 2 * np.pi * m / abs(energies[j] - energies[k])
+
+
+def _distinct_eigenphases(energies, tau):
+    """The number of distinct exp(-i E tau), 1e-9 apart."""
+    z = np.exp(-1j * energies * tau)
+    return sum(not np.any(np.abs(z[:i] - z[i]) <= 1e-9) for i in range(len(z)))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -130,13 +152,18 @@ any_models = st.one_of(real_models(), models().map(lambda model: (model, model.d
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(case=any_models, dist=laws, twin=st.booleans())
+@given(case=any_models, dist=st.one_of(laws, resonances), twin=st.booleans())
 def test_return_problem_is_quantized(case, dist, twin):
     model, levels = case
     model = build_dense(model.hamiltonian, model.psi_d, model.psi_d)
     if twin:
         model = gauged(model)
-    sset = build_superops(spectral_reduce(model), dist)
+    sd = spectral_reduce(model)
+    if isinstance(dist, tuple):
+        tau = _exceptional_period(sd.energies, dist)
+        dist = FixedInterval(tau if tau is not None else 0.6)
+        levels = _distinct_eigenphases(sd.energies, dist.tau0)
+    sset = build_superops(sd, dist)
     try:
         stats = detection_stats(sset, dist)
     except IllConditionedError:
@@ -147,12 +174,15 @@ def test_return_problem_is_quantized(case, dist, twin):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(case=any_models, tau=st.floats(0.3, 0.9), twin=st.booleans())
+@given(case=any_models, tau=st.one_of(st.floats(0.3, 0.9), resonances), twin=st.booleans())
 def test_fixed_interval_series_is_stroboscopic(case, tau, twin):
     model, _ = case
     if twin:
         model = gauged(model)
-    series = fn_series(build_superops(spectral_reduce(model), FixedInterval(tau)), 30)
+    sd = spectral_reduce(model)
+    if isinstance(tau, tuple):
+        tau = _exceptional_period(sd.energies, tau) or 0.6
+    series = fn_series(build_superops(sd, FixedInterval(tau)), 30)
     assert np.abs(series - stroboscopic_fn_direct(model, tau, 30)).max() <= 1e-10
 
 
