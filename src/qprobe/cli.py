@@ -155,6 +155,9 @@ def cmd_stats(args) -> int:
     diagnostics = {key: moments.pop(key) for key in ("backend", "residual")}
     diagnostics["dim"] = sd.bright.shape[0]
     diagnostics["identity_residual"] = abs(stats.t_mean - dist.mean * stats.n_mean)
+    diagnostics["census_method"] = ("shift-invert-arnoldi" if census.structural
+                                    else "dense-eigvals")
+    diagnostics["census_solves"] = census.solves
     doc = {
         "config": cfg,
         "reduced_dim": sd.reduced_dim,

@@ -56,6 +56,11 @@ DEFAULT_ZERO_TOL = 1e-8
 EXCEPTIONAL_COND_SCALE = 1e4
 DENSE_CENSUS_MAX_DIM = 12          # dense eigvals up to a 144^2 transfer matrix
 NORM1_ITMAX = 5                    # zlacn2's ITMAX: solve pairs of the 1-norm estimate
+ARNOLDI_NEV = 3                    # Ritz values checked, so a peripheral tie beside rho shows
+ARNOLDI_NCV = 20                   # basis vectors, ARPACK's default at 3 eigenvalues
+ARNOLDI_KEEP = 10                  # Ritz vectors a thick restart keeps
+ARNOLDI_MAX_RESTARTS = 50         # 6 at most on rings L <= 120, fixed, exp and gamma laws
+ARNOLDI_ROTATE_COLS = 1 << 14      # columns rotated at once: 10 x 16384 complex, 2.6 MB
 PHASE_MERGE_TOL = 1e-12            # |1 - phi_jk| at one eigenphase of U(tau): <= 19 eps, rings L <= 41
 
 
@@ -182,14 +187,16 @@ class ZeroModeCensus:
     """Eigenvalue census of the transfer matrix.
 
     ``slowest_decay`` is the Perron root (real, im = 0); ``structural``
-    is True when ``n_zero`` is the structural count 2 Nr - 1 rather than
-    a count of computed eigenvalues.
+    is True when ``n_zero`` is the structural count 2 Nr - 1 of the
+    shift-invert Arnoldi branch rather than a count of dense eigenvalues;
+    ``solves`` counts the structured solves Arnoldi took (0 when dense).
     """
 
     n_zero: int
     n_nonzero: int
     slowest_decay: complex
     structural: bool
+    solves: int
 
 
 @dataclass(frozen=True)
@@ -459,6 +466,70 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution) -> Detec
     )
 
 
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove from w, in place, its components along the orthonormal rows
+    of ``basis`` by classical Gram-Schmidt run twice; returns the summed
+    coefficients basis^H w."""
+    coef = np.zeros(len(basis), dtype=complex)
+    for _ in range(2):
+        c = (basis @ w.conj()).conj()
+        w -= c @ basis
+        coef += c
+    return coef
+
+
+def _dominant_eigenvalues(op, m: int) -> tuple[np.ndarray, int]:
+    """The ARNOLDI_NEV eigenvalues of largest modulus of the linear map ``op``
+    on C^m, largest first, and the number of ``op`` calls taken.
+
+    Thick-restart Arnoldi (Stewart's Krylov-Schur restart, SIAM J. Matrix
+    Anal. Appl. 23, 2001) with ARPACK's defaults: ARNOLDI_NCV basis
+    vectors from the all-ones start vector, each step orthogonalized
+    twice by classical Gram-Schmidt, and convergence once every wanted
+    Ritz pair (theta, y) of the projected matrix H has ||r|| |e_m^T y| <=
+    eps |theta|.  A restart keeps ARNOLDI_KEEP dominant Ritz vectors: the
+    basis is rotated onto a QR basis Q of them in blocks of columns, and H
+    becomes Q^H H Q bordered by the residual's row.  A step whose new
+    direction is rounding noise (an invariant subspace) continues from a
+    fixed random vector.  Raises ConvergenceError after
+    ARNOLDI_MAX_RESTARTS restarts.
+    """
+    eps = np.finfo(float).eps
+    ncv, keep = ARNOLDI_NCV, ARNOLDI_KEEP
+    v = np.empty((ncv + 1, m), dtype=complex)
+    h = np.zeros((ncv + 1, ncv), dtype=complex)
+    v[0] = 1.0 / math.sqrt(m)
+    start, calls = 0, 0
+    for _ in range(ARNOLDI_MAX_RESTARTS + 1):
+        for j in range(start, ncv):
+            w = op(v[j])
+            calls += 1
+            basis, norm_w = v[:j + 1], np.linalg.norm(w)
+            h[:j + 1, j] = _orthogonalize(basis, w)
+            h[j + 1, j] = beta = np.linalg.norm(w)
+            if beta <= eps * norm_w:
+                w = np.random.default_rng(j).standard_normal(m).astype(complex)
+                _orthogonalize(basis, w)
+                h[j + 1, j], beta = 0.0, np.linalg.norm(w)
+            v[j + 1] = w / beta
+        theta, y = np.linalg.eig(h[:ncv])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        wanted = order[:ARNOLDI_NEV]
+        if np.all(abs(h[ncv, ncv - 1]) * np.abs(y[ncv - 1, wanted])
+                  <= eps * np.abs(theta[wanted])):
+            return theta[wanted], calls
+        q = np.linalg.qr(y[:, order[:keep]])[0]
+        for col in range(0, m, ARNOLDI_ROTATE_COLS):
+            block = slice(col, col + ARNOLDI_ROTATE_COLS)
+            v[:keep, block] = q.T @ v[:ncv, block]
+        v[keep] = v[ncv]
+        h_kept = np.zeros_like(h)
+        h_kept[:keep, :keep] = q.conj().T @ h[:ncv] @ q
+        h_kept[keep, :keep] = h[ncv, ncv - 1] * q[ncv - 1]
+        h, start = h_kept, keep
+    raise ConvergenceError(f"Arnoldi took {ARNOLDI_MAX_RESTARTS} restarts ({calls} solves)")
+
+
 def zero_mode_census(sset: SuperoperatorSet) -> ZeroModeCensus:
     """Count zero modes of the transfer matrix T and find its slowest decay.
 
@@ -471,30 +542,28 @@ def zero_mode_census(sset: SuperoperatorSet) -> ZeroModeCensus:
 
     Up to ``DENSE_CENSUS_MAX_DIM``, or when the structured solve cannot be
     formed, dense ``eigvals`` of T counts the eigenvalues with |lam| <
-    DEFAULT_ZERO_TOL = 1e-8 as zero modes.  Above it, Arnoldi on
-    (T - I)^-1 = -J^-1, the O(Nr^2) structured solve, finds its dominant
-    eigenvalues nu, and lam = 1 + 1/nu (the iteration of ARPACK's
-    shift-invert mode at 1); ``n_zero`` is the structural 2 Nr - 1: the
-    nullity of T, since rank(S (x) S) = (Nr - 1)^2 and no interval law
-    gives phi = 0.  Raises ConvergenceError when Arnoldi does not converge
-    or its Ritz value nearest 1 is not a real eigenvalue of largest modulus
-    among those returned.
+    DEFAULT_ZERO_TOL = 1e-8 as zero modes.  Above it, thick-restart
+    Arnoldi in numpy (``_dominant_eigenvalues``, with ARPACK's defaults) on
+    (T - I)^-1 = -J^-1, the O(Nr^2) structured solve, finds its three
+    dominant eigenvalues nu, and lam = 1 + 1/nu (shift-invert at 1), so
+    every BLAS call runs on numpy's one thread pool; ``n_zero`` is the
+    structural 2 Nr - 1: the nullity of T, since rank(S (x) S) = (Nr - 1)^2
+    and no interval law gives phi = 0.  Raises ConvergenceError when
+    Arnoldi does not converge within ARNOLDI_MAX_RESTARTS restarts or its
+    Ritz value nearest 1 is not a real eigenvalue of largest modulus among
+    those returned.
     """
     n = sset.dim
     if n <= DENSE_CENSUS_MAX_DIM or not np.isfinite(sset._solver.condition):
         mags = np.abs(np.linalg.eigvals(sset.transfer))
         n_zero = int(np.sum(mags < DEFAULT_ZERO_TOL))
         return ZeroModeCensus(n_zero=n_zero, n_nonzero=mags.size - n_zero,
-                              slowest_decay=complex(mags.max()), structural=False)
+                              slowest_decay=complex(mags.max()), structural=False, solves=0)
 
-    # imported here: scipy.sparse.linalg adds ~40 ms to every command's start
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
     m, solve = n * n, sset._solver.solve
-    shift_inverse = LinearOperator((m, m), dtype=complex, matvec=lambda x: -solve(x))
     try:
-        nu = eigs(shift_inverse, k=3, v0=np.ones(m, dtype=complex),
-                  return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
+        nu, solves = _dominant_eigenvalues(lambda x: -solve(x), m)
+    except ConvergenceError as exc:
         raise ConvergenceError(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
     ritz = 1.0 + 1.0 / nu
     rho = ritz[np.argmin(np.abs(ritz - 1.0))]
@@ -505,7 +574,7 @@ def zero_mode_census(sset: SuperoperatorSet) -> ZeroModeCensus:
             f"nearest 1 is not a real eigenvalue of largest modulus")
     n_zero = 2 * n - 1
     return ZeroModeCensus(n_zero=n_zero, n_nonzero=m - n_zero,
-                          slowest_decay=complex(rho.real), structural=True)
+                          slowest_decay=complex(rho.real), structural=True, solves=solves)
 
 
 def universal_identity_check(sset: SuperoperatorSet,

@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qprobe import cli, verify
+from qprobe import cli, superop, verify
 from qprobe.config import (distribution_from_config, merge_overrides,
                            model_from_config, parse_kv_text, seed_from_config)
 from qprobe.errors import ConfigError, ConvergenceError, IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_ring, spectral_reduce
 from qprobe.superop import (build_superops, detection_stats, fn_series,
-                            universal_identity_check)
+                            universal_identity_check, zero_mode_census)
 
 TLS_DENSE = """\
 # symmetric two-level model, single-bond coupling 1
@@ -106,6 +106,30 @@ def test_cli_stats_l24(capsys):
     assert 0 <= doc["diagnostics"]["residual"] < 1e-13
 
 
+@pytest.mark.parametrize("L, x_in, method, solves", [(7, 1, "dense-eigvals", 0),
+                                                     (24, 12, "shift-invert-arnoldi", 30)])
+def test_cli_stats_reports_census_method_and_solves(capsys, L, x_in, method, solves):
+    # Nr = 4 and 13; the two census keys are new, and every other key of
+    # the document keeps its value from the solve and the census
+    assert cli.main(["stats", "--L", str(L), "--gamma", "1", "--xin", str(x_in), "--xd", "0",
+                     "--dist", "exp", "--mean", "0.6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    diagnostics = doc["diagnostics"]
+    assert (diagnostics.pop("census_method"), diagnostics.pop("census_solves")) == (method, solves)
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_reduce(build_ring(L, 1.0, x_in, 0)), dist)
+    stats = detection_stats(sset, dist)
+    census = zero_mode_census(sset)
+    assert diagnostics == {"backend": "structured", "residual": stats.residual, "dim": L,
+                           "identity_residual": abs(stats.t_mean - 0.6 * stats.n_mean)}
+    assert doc["zero_modes"] == {
+        "n_zero": census.n_zero, "n_nonzero": census.n_nonzero,
+        "slowest_decay_abs": abs(census.slowest_decay),
+        "slowest_decay_re": census.slowest_decay.real,
+        "slowest_decay_im": census.slowest_decay.imag, "structural": method != "dense-eigvals"}
+    assert list(doc) == ["config", "reduced_dim", "stats", "zero_modes", "diagnostics"]
+
+
 @pytest.mark.parametrize("flags, dist", [
     (["--dist", "fixed", "--tau", "0.7"], FixedInterval(0.7)),
     (["--dist", "exp", "--mean", "0.6"], ExponentialInterval(0.6)),
@@ -116,7 +140,8 @@ def test_cli_stats_diagnostics_report_dim_and_identity_residual(capsys, flags, d
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     diag = doc["diagnostics"]
-    assert set(diag) == {"backend", "residual", "dim", "identity_residual"}
+    assert set(diag) == {"backend", "residual", "dim", "identity_residual",
+                         "census_method", "census_solves"}
     assert diag["dim"] == 9 and doc["reduced_dim"] == 5
     assert diag["identity_residual"] <= 1e-8 * max(1.0, doc["stats"]["t_sq"])
     report = universal_identity_check(
@@ -163,12 +188,10 @@ def test_cli_stats_exceptional_interval_matches_the_fn_sum(capsys):
 
 
 def test_cli_stats_census_failure_exits_one(monkeypatch, capsys):
-    import scipy.sparse.linalg as sla
+    def no_convergence(op, m):
+        raise ConvergenceError("Arnoldi took 50 restarts (520 solves)")
 
-    def no_convergence(*args, **kwargs):
-        raise sla.ArpackNoConvergence("no convergence", np.array([]), None)
-
-    monkeypatch.setattr(sla, "eigs", no_convergence)
+    monkeypatch.setattr(superop, "_dominant_eigenvalues", no_convergence)
     rc = cli.main(["stats", "--L", "24", "--gamma", "1", "--xin", "12",
                    "--xd", "0", "--dist", "exp", "--mean", "0.6"])
     captured = capsys.readouterr()

@@ -1,8 +1,8 @@
 """Start-up tests: what a fresh ``qprobe`` process imports.
 
-``fn``, ``mc``, ``--help``, input errors, sweeps of the moments and
-``stats`` up to Nr = 12 run on numpy alone; scipy is imported only for the
-Arnoldi census above Nr = 12 and for ``verify``'s matrix-exponential oracle.
+``fn``, ``mc``, ``--help``, input errors, ``stats`` and every sweep, the
+Arnoldi census above Nr = 12 included, run on numpy alone; scipy is
+imported only for ``verify``'s matrix-exponential oracle.
 """
 
 import json
@@ -49,6 +49,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                            "--mean", "0.6", "--axis", "alpha", "--grid", "1,2,3",
                            "--outputs", "n_mean,t_mean"]))
     codes.append(cli.main(["stats", *{RING!r}]))
+    codes.append(cli.main(["stats", "--L", "24", *{RING[2:]!r}]))
+    codes.append(cli.main(["sweep", "--L", "24", *{RING[2:8]!r}, "--dist", "fixed",
+                           "--axis", "mean_tau", "--grid", "0.6,0.7",
+                           "--outputs", "lambda_max"]))
 print(json.dumps({{"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
 """
@@ -102,14 +106,15 @@ def test_commands_without_a_solve_never_import_scipy():
 
 
 def test_moment_solves_never_import_scipy():
-    # a moments sweep at Nr = 13 and stats at Nr = 4 (dense census)
+    # a moments sweep at Nr = 13, stats at Nr = 4 (dense census) and 13
+    # (Arnoldi census), and a lambda_max sweep at Nr = 13 (Arnoldi census)
     proc = _fresh_python("-c", SOLVES)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def test_stats_in_a_fresh_process_matches_in_process(capsys):
-    # Nr = 13 > 12: the census imports scipy.sparse.linalg
+    # Nr = 13 > 12: the census runs Arnoldi on the structured solve
     argv = ["stats", "--L", "24", "--gamma", "1", "--xin", "12", "--xd", "0",
             "--dist", "gamma", "--alpha", "5", "--mean", "0.6"]
     proc = _fresh_python("-m", "qprobe.cli", *argv)

@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qprobe import cli
+from qprobe import cli, superop
 from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                            IllConditionedError, MomentOverflowError)
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
@@ -225,14 +225,51 @@ def test_zero_mode_census_perron_root_matches_dense(make_sd, dist):
     assert (census.n_zero, census.n_nonzero) == (n_zero, mags.size - n_zero)
 
 
+@pytest.mark.parametrize("dist", [ExponentialInterval(0.6), GammaInterval(10.0, 0.6),
+                                  FixedInterval(0.9)], ids=["exp", "gamma", "fixed0.9"])
+def test_arnoldi_ritz_values_match_dense_eigvals_at_nr21(dist):
+    # all three Ritz values, not only rho, against the eigenvalues of the
+    # dense 441^2 transfer matrix nearest 1; fixed 0.9 takes two restarts
+    sset = build_superops(spectral_reduce(build_ring(40, 1.0, 7, 0)), dist)
+    assert sset.dim == 21
+    census = zero_mode_census(sset)
+    solve = sset._solver.solve
+    nu, solves = superop._dominant_eigenvalues(lambda x: -solve(x), 21**2)
+    lam = np.linalg.eigvals(sset.transfer)
+    nearest = lam[np.argsort(np.abs(lam - 1.0))[:3]]
+    assert solves == census.solves > superop.ARNOLDI_NCV
+    assert np.abs(np.sort_complex(1.0 + 1.0 / nu) - np.sort_complex(nearest)).max() <= 1e-12
+    assert abs(census.slowest_decay - np.abs(lam).max()) <= 1e-12
+    if isinstance(dist, FixedInterval):
+        assert solves == 40
+
+
+def test_arnoldi_continues_past_an_invariant_start_vector():
+    # A maps the all-ones start vector exactly onto itself (integer rows
+    # summing to 1, 1/sqrt(256) = 1/16), so the first step leaves a zero
+    # residual; the run goes on from a fixed random vector and still finds
+    # the three planted dominant eigenvalues
+    rng = np.random.default_rng(5)
+    m = 256
+    a = rng.integers(-1, 2, (m, m)).astype(float)
+    a[[0, 1, 2], [0, 1, 2]] = 100.0, 90.0, 80.0
+    a[np.arange(m), (np.arange(m) + 7) % m] -= a.sum(axis=1) - 1.0
+    assert np.array_equal(a @ np.full(m, 1 / 16), np.full(m, 1 / 16))
+    nu, _ = superop._dominant_eigenvalues(lambda x: a @ x, m)
+    lam = np.linalg.eigvals(a)
+    dominant = lam[np.argsort(-np.abs(lam))[:3]]
+    assert np.abs(nu - dominant).max() <= 1e-12 * abs(dominant[0])
+
+
 def test_zero_mode_census_holds_no_nr4_array():
-    # the Arnoldi basis and the structured solve are O(Nr^2); measured
-    # peak ~38 x 16 Nr^2 bytes at Nr = 41, where the dense transfer
+    # the 21-vector Arnoldi basis and the structured solve are O(Nr^2);
+    # measured peak 27.5 x 16 Nr^2 bytes at Nr = 41 (32.7 under a fixed
+    # law, whose restart rotates the basis), where the dense transfer
     # matrix alone would be 45 MB
     sset = build_superops(spectral_reduce(build_ring(80, 1.0, 40, 0)),
                           GammaInterval(10.0, 0.6))
     assert sset.dim == 41
-    zero_mode_census(sset)                        # warm up lazy imports
+    zero_mode_census(sset)                        # first call outside the trace
     tracemalloc.start()
     census = zero_mode_census(sset)
     peak = tracemalloc.get_traced_memory()[1]
@@ -259,17 +296,27 @@ def test_zero_mode_census_refuses_unchecked_arnoldi(monkeypatch, ritz):
     # no convergence, and Ritz values whose nearest-to-1 member is not
     # real or not of largest modulus, raise instead of returning a number;
     # Arnoldi runs on -J^-1, so the fake returns nu = 1/(lam - 1)
-    import scipy.sparse.linalg as sla
-
-    def fake_eigs(*args, **kwargs):
+    def fake_arnoldi(op, m):
         if ritz is None:
-            raise sla.ArpackNoConvergence("no convergence", np.array([]), None)
-        return 1.0 / (np.array(ritz, dtype=complex) - 1.0)
+            raise ConvergenceError("Arnoldi took 50 restarts (520 solves)")
+        return 1.0 / (np.array(ritz, dtype=complex) - 1.0), 20
 
-    monkeypatch.setattr(sla, "eigs", fake_eigs)
+    monkeypatch.setattr(superop, "_dominant_eigenvalues", fake_arnoldi)
     sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), ExponentialInterval(0.6))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="shift-invert Arnoldi"):
         zero_mode_census(sset)
+
+
+def test_zero_mode_census_raises_when_arnoldi_runs_out_of_restarts(monkeypatch):
+    # a fixed law needs two thick restarts at Nr = 13 (40 solves); with none
+    # allowed the real iteration stops after its first 20 and raises
+    sset = build_superops(spectral_reduce(build_ring(24, 1.0, 12, 0)), FixedInterval(0.6))
+    assert zero_mode_census(sset).solves == 40
+    monkeypatch.setattr(superop, "ARNOLDI_MAX_RESTARTS", 0)
+    with pytest.raises(ConvergenceError,
+                       match="did not converge at Nr=13") as info:
+        zero_mode_census(sset)
+    assert str(info.value.__cause__) == "Arnoldi took 0 restarts (20 solves)"
 
 
 def test_solver_keeps_no_reference_to_its_set():
