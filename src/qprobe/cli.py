@@ -332,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--ncut", type=int, default=200,
                       help="probes per realization (per_realization mode)")
     p_mc.add_argument("--n-abort", type=int, default=DEFAULT_ABORT,
-                      help="attempt cap per realization (bernoulli mode)")
+                      help="attempt cap per realization (bernoulli mode, default "
+                           "%(default)s); an undetected realization runs all of them, which "
+                           "happens with probability 1 - p_det for a start with dark "
+                           "overlap, so lower it for such models")
     p_mc.add_argument("--out", help="CSV output file; summary JSON goes to stdout")
     p_mc.set_defaults(func=cmd_mc)
 

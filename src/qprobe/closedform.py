@@ -3,8 +3,9 @@
 The ring formulas hold for exponentially distributed intervals and split
 into parity cases; they were obtained by fitting rational coefficients of
 the 1/mean^2 expansion on small rings and are numerically verified in
-this package for 3 <= L <= 16 (the trusted range).  Larger rings evaluate
-fine but carry a conjectural warning.
+this package for 3 <= L <= 64 at every detector site (the trusted range),
+and at sampled sites of rings up to L = 400.  Larger rings evaluate fine
+but carry a conjectural warning.
 
 The time-squared branches restore the hopping-strength dependence that a
 pure transcription would miss: the leading coefficient scales as
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError
 from .intervals import IntervalDistribution
 
-VERIFIED_L_MAX = 16
+VERIFIED_L_MAX = 64
 _DIVERGENCE_EPS = 1e-12
 
 

@@ -51,6 +51,13 @@ class IntervalDistribution(ABC):
     def weighted_charfn(self, delta, power: int):
         """Weighted average <tau**power * exp(i*delta*tau)> for power in {1, 2}."""
 
+    def _phase_factors(self, delta):
+        """``charfn(delta)`` and ``weighted_charfn(delta, p)`` for p = 1, 2 as
+        complex arrays, the three factors ``superop.build_superops`` needs.
+        The families override it to take all three from one power."""
+        return tuple(np.asarray(f, dtype=complex) for f in (
+            self.charfn(delta), self.weighted_charfn(delta, 1), self.weighted_charfn(delta, 2)))
+
     @abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
         """Draw interval samples using the caller-owned generator."""
@@ -106,6 +113,10 @@ class FixedInterval(IntervalDistribution):
         _check_power(power)
         return self.tau0**power * self.charfn(delta)
 
+    def _phase_factors(self, delta):
+        phi = self.charfn(delta)
+        return phi, self.tau0 * phi, self.tau0**2 * phi
+
     def sample(self, rng, size=None):
         if size is None:
             return self.tau0
@@ -139,11 +150,14 @@ class GammaInterval(IntervalDistribution):
     def variance(self) -> float:
         return self.mu**2 / self.alpha
 
-    def _base_power(self, delta, extra: int):
-        """(1 - i delta/beta)**-(alpha + extra).  At a huge |delta|/beta
-        numpy's small-integer power overflows on the way and returns inf
-        or nan; the polar form exp(p log(base)) is taken instead."""
-        base = 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha
+    def _base(self, delta):
+        """1 - i delta/beta, whose real part is 1."""
+        return 1.0 - 1j * np.asarray(delta, dtype=float) * self.mu / self.alpha
+
+    def _base_power(self, base, extra: int):
+        """base**-(alpha + extra).  At a huge |delta|/beta numpy's
+        small-integer power overflows on the way and returns inf or nan;
+        the polar form exp(p log(base)) is taken instead."""
         p = -self.alpha - extra
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -152,14 +166,24 @@ class GammaInterval(IntervalDistribution):
             return np.exp(p * np.log(base))
 
     def charfn(self, delta):
-        return self._base_power(delta, 0)
+        return self._base_power(self._base(delta), 0)
 
     def weighted_charfn(self, delta, power: int):
         # <tau**p e^{i d tau}> = Gamma(a+p)/(Gamma(a) beta**p) (1 - i d/beta)**-(a+p)
         _check_power(power)
         if power == 1:
-            return self.mu * self._base_power(delta, 1)
-        return self.mu**2 * (1.0 + 1.0 / self.alpha) * self._base_power(delta, 2)
+            return self.mu * self._base_power(self._base(delta), 1)
+        return self.mu**2 * (1.0 + 1.0 / self.alpha) * self._base_power(self._base(delta), 2)
+
+    def _phase_factors(self, delta):
+        # one power: each further tau multiplies by (alpha + p)/beta and divides by the base
+        base = self._base(delta)
+        phi = self._base_power(base, 0)
+        phi_t = self.mu * phi
+        phi_t /= base
+        phi_tt = self.mu * (1.0 + 1.0 / self.alpha) * phi_t
+        phi_tt /= base
+        return phi, phi_t, phi_tt
 
     def sample(self, rng, size=None):
         return rng.gamma(self.alpha, self.mu / self.alpha, size)

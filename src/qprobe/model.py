@@ -16,7 +16,8 @@ cross amplitudes that carry the interference between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -168,6 +169,11 @@ class SpectralData:
         return len(self.energies)
 
     def is_return_problem(self) -> bool:
+        return self._is_return
+
+    @cached_property
+    def _is_return(self) -> bool:
+        # computed once: the arrays are read-only, and every sweep point asks
         return bool(
             np.allclose(self.cross_amp, self.p_detect, atol=1e-12)
             and np.allclose(self.p_init, self.p_detect, atol=1e-12)

@@ -24,7 +24,9 @@ measurement projection, leaving at most (Nr-1)^2 active decay modes.
 
 The same rank-one structure and the unit diagonal of the averaged phases
 turn every solve against I - transfer into one (Nr+1) bordered system,
-inverted in O(Nr^3) and solved in O(Nr^2).  A superoperator set inverts
+inverted in O(Nr^3) and solved in O(Nr^2).  That system is real, since
+a characteristic function has phi(-delta) = conj(phi(delta)), so it is
+inverted and applied in real arithmetic.  A superoperator set inverts
 it at most once: the moments, the adjoint solves (by the similarity
 S^T = diag(p)^-1 S diag(p), with no second inverse), the condition gate
 (an exact 1-norm times a Hager-Higham estimate of the inverse 1-norm)
@@ -213,16 +215,15 @@ class IdentityReport:
 def build_superops(spec: SpectralData, dist: IntervalDistribution) -> SuperoperatorSet:
     """Assemble the averaged superoperators for one spectral problem.
 
-    Under a fixed interval, levels with phi_jk = exp(i (E_j - E_k) tau)
-    within PHASE_MERGE_TOL of 1 are one eigenspace of U(tau) and one level
-    of the set (``dim`` < Nr): weights p and cross amplitudes add, and the
-    first member's energy stands for all.  Other laws have |phi_jk| < 1.
+    phi and its tau-weighted forms come from one power per pair
+    (``dist._phase_factors``).  Under a fixed interval, levels with phi_jk
+    = exp(i (E_j - E_k) tau) within PHASE_MERGE_TOL of 1 are one eigenspace
+    of U(tau) and one level of the set (``dim`` < Nr): weights p and cross
+    amplitudes add, and the first member's energy stands for all.  Other
+    laws have |phi_jk| < 1.
     """
     e = spec.energies
-    diff = e[:, None] - e[None, :]                    # E_j - E_k
-    phase = np.asarray(dist.charfn(diff), dtype=complex)
-    phase_t = np.asarray(dist.weighted_charfn(diff, 1), dtype=complex)
-    phase_tt = np.asarray(dist.weighted_charfn(diff, 2), dtype=complex)
+    phase, phase_t, phase_tt = dist._phase_factors(e[:, None] - e[None, :])   # E_j - E_k
     p, amp = spec.p_detect.copy(), spec.cross_amp
     if isinstance(dist, FixedInterval):
         keep, group = np.unique(np.argmax(np.abs(1.0 - phase) <= PHASE_MERGE_TOL, axis=1),
@@ -267,18 +268,22 @@ def _resolvent_norm1(p: np.ndarray, phi: np.ndarray) -> float:
     """||J||_1 exactly in O(Nr^3): the column (l, m) of J = I - diag(phi)
     (S (x) S) sums to (|S|^T |phi| |S|)_lm - |t_lm| + |1 - t_lm|, where
     t_lm = phi_lm S_ll S_mm is its diagonal entry of the transfer matrix."""
-    surv = _dense_survival(p)
-    t = phi * np.outer(surv.diagonal(), surv.diagonal())
-    a = np.abs(surv)
+    n, s_diag = len(p), 1.0 - p
+    a = np.empty((n, n))                  # |S|: p_j off the diagonal, |1 - p_j| on it
+    a[:] = p[:, None]
+    a.ravel()[::n + 1] = np.abs(s_diag)
+    t = phi * np.multiply.outer(s_diag, s_diag)
     cols = a.T @ np.abs(phi) @ a - np.abs(t) + np.abs(1.0 - t)
     return float(cols.max())
 
 
 def _unit(y: np.ndarray) -> np.ndarray:
-    """y / |y| entrywise, 1 where |y| is below the smallest normal number."""
+    """y / |y| entrywise, 1 where |y| is below the smallest normal number;
+    run under the solver's errstate, which hides the 0/0 it overwrites."""
     mag = np.abs(y)
-    tiny = mag <= np.finfo(float).tiny
-    return np.where(tiny, 1.0, y / np.where(tiny, 1.0, mag))
+    u = y / mag
+    u[mag <= np.finfo(float).tiny] = 1.0
+    return u
 
 
 def _inverse_norm1_estimate(solve, solve_adjoint, n: int) -> float:
@@ -306,12 +311,13 @@ def _inverse_norm1_estimate(solve, solve_adjoint, n: int) -> float:
         j_last, j = j, int(np.argmax(z))
         if z[j_last] == z[j]:
             break
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * (1.0 + np.arange(n) / (n - 1))
+    alt = 1.0 + np.arange(n) / (n - 1)
+    alt[1::2] *= -1.0
     return float(np.maximum(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
 
 
 class _ResolventSolver:
-    """Solves J x = b and J^H y = b from one small inverse, and watches cond_1(J).
+    """Solves J x = b and J^H y = b from one small real inverse, and watches cond_1(J).
 
     J x = b is X - phi o (S X S^T) = B for S = I - p 1^T.  With r and c the
     column and row sums of X and s its total, S X S^T = X - p r^T - c p^T
@@ -320,11 +326,17 @@ class _ResolventSolver:
     (p_j r_k + (g_j - r_j) p_k), with W = phi/(1 - phi) and Bt = B/(1 - phi)
     (both 0 on the diagonal).  Summing those into r - c, in which diag(X)
     cancels, leaves one (Nr+1) bordered system M (r, s) = (h, 0), inverted
-    once here in O(Nr^3).  A solve takes (r, s) from M^-1 in O(Nr^2) and
-    diag(X) from r, with one step of iterative refinement against M: a
-    computed inverse has an LU solve's forward error, but its residual can
-    be far larger (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., 2002, sec. 14.1), 1e4-fold for J at near-exceptional gamma laws.
+    once here in O(Nr^3).  M is real: phi is a characteristic function, so
+    phi_kj = conj(phi_jk), W^T = conj(W), and M holds only W + W^T = 2 Re W
+    and p^T W + W p = 2 Re(W p); its imaginary part is rounding, at most
+    1e-14 max|M| on rings and dense complex models.  So M and M^-1 are kept
+    real, and a complex h is solved as the two real columns of its (Nr, 2)
+    view, at half the cost of a complex inverse and a quarter of a complex
+    product.  A solve takes (r, s) from M^-1 in O(Nr^2) and diag(X) from r,
+    with one step of iterative refinement against M: a computed inverse
+    has an LU solve's forward error, but its residual can be far larger
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    sec. 14.1), 1e4-fold for J at near-exceptional gamma laws.
 
     The adjoint needs no second inverse: S^T = diag(p)^-1 S diag(p), so with
     q = p (x) p and K = S (x) S, q o conj(J^H y) = (I - K diag(phi))^-1
@@ -343,46 +355,68 @@ class _ResolventSolver:
 
     def __init__(self, p: np.ndarray, phi: np.ndarray):
         n = len(p)
-        self._n, self._p = n, p
-        m = np.empty((n + 1, n + 1), dtype=complex)
+        self._n = n
+        self._p = pc = p.astype(complex)          # every product with p is complex
+        self.condition = np.inf
         with np.errstate(all="ignore"):           # a pole 1 - phi_jk = 0 gives inf
             self._inv_gap = 1.0 / (1.0 - phi)
-            np.fill_diagonal(self._inv_gap, 0.0)
-            self._w = w = phi * self._inv_gap
-            self._w_p = w @ p
-            m[:n, :n] = -(p[:, None] * (w + w.T))
-            m[:n, :n][np.diag_indices(n)] += 2.0 + p @ w + self._w_p
-        m[:n, n] = -p
-        m[n, :n] = 1.0
-        m[n, n] = -1.0
-        self.condition = np.inf
-        if np.isfinite(m).all() and np.all(p != 0):
+            self._inv_gap.ravel()[::n + 1] = 0.0
+            w = phi * self._inv_gap
+            self._w_pj, self._w_pk = w * pc[:, None], w * pc    # W_jk p_j and W_jk p_k
+            w_p = w @ pc
+            self._one_w_p = 1.0 + w_p
+            w_re = w.real
+            m = np.empty((n + 1, n + 1))
+            np.add(w_re, w_re.T, out=m[:n, :n])
+            m[:n, :n] *= -p[:, None]
+            m.ravel()[:n * (n + 2):n + 2] += 2.0 + p @ w_re + w_p.real
+            m[:n, n] = -p
+            m[n, :n] = 1.0
+            m[n, n] = -1.0
+            if not (np.isfinite(m).all() and np.isfinite(w).all() and np.all(p != 0)):
+                return
             try:
-                self._m, self._inv = m, np.linalg.inv(m)
+                inv = np.linalg.inv(m)
             except np.linalg.LinAlgError:
                 return
-            self._q = np.outer(p, p).ravel()
-            self._phi_q = phi.ravel() * self._q
-            with np.errstate(all="ignore"):
-                est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
+            # M^-1 without its border column, which meets the 0 of (h, 0), and
+            # without its border row, which no refinement needs; -M for the residual
+            self._inv_h, self._inv_r, self._neg_m = inv[:, :-1], inv[:-1], -m
+            self._q = q = np.multiply.outer(p, p)
+            self._phi_q = phi * q
+            est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
             if np.isfinite(est):
                 self.condition = _resolvent_norm1(p, phi) * est
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n, p, w = self._n, self._p, self._w
+        n = self._n
         b = b.reshape(n, n)
-        bt = b * self._inv_gap
-        g = b.diagonal() / p
-        h = bt.sum(axis=0) - bt.sum(axis=1) + g * (1.0 + self._w_p) - p * (g @ w)
-        y = self._inv[:, :-1] @ h                       # (h, 0): the border entry is 0
-        r = (y + self._inv @ (np.append(h, 0.0) - self._m @ y))[:-1]  # one refinement step
-        x = bt - w * (np.outer(p, r) + np.outer(g - r, p))
-        x[np.diag_indices(n)] = r - x.sum(axis=0)       # x_jj is still 0 here
+        x = b * self._inv_gap                           # Bt, then X in place
+        g = b.diagonal() / self._p
+        h = np.add.reduce(x, 0)                         # x.sum(axis=0) without its wrapper
+        h -= np.add.reduce(x, 1)
+        h += g * self._one_w_p
+        h -= g @ self._w_pk
+        h2 = h.view(float).reshape(n, 2)                # real and imaginary columns
+        y = self._inv_h @ h2                            # M^-1 (h, 0)
+        res = self._neg_m @ y                           # one refinement step
+        res[:-1] += h2
+        y = y[:-1]
+        y += self._inv_r @ res
+        r = y.view(complex).ravel()
+        x -= self._w_pj * r
+        x -= (g - r)[:, None] * self._w_pk
+        x.ravel()[::n + 1] = r - np.add.reduce(x, 0)    # x_jj is still 0 here
         return x.ravel()
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        x = self.solve(self._phi_q * b.conj()).reshape(self._n, self._n)
-        return b + (_survive(self._p, x).ravel() / self._q).conj()
+        n = self._n
+        b = b.reshape(n, n)
+        y = _survive(self._p, self.solve(self._phi_q * b.conj()).reshape(n, n))
+        y /= self._q
+        np.conjugate(y, out=y)
+        y += b
+        return y.ravel()
 
 
 def _exceptional_pairs(sset: SuperoperatorSet):
@@ -424,9 +458,10 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution) -> Detec
         raise IllConditionedError(solver.condition, _exceptional_pairs(sset),
                                   float(sset.p_detect[j]), j)
 
+    total = np.add.reduce                 # .sum() without its Python wrapper
     src = sset.phase_avg * sset.source_vec
     f1 = solver.solve(src)                # geometric sum of the series
-    p_det = float(f1.sum().real)
+    p_det = float(total(f1).real)
     if p_det < PDET_FLOOR:
         # p_det is the bright weight sum |a_j|^2 / p_j (p_j > 0 past the gate)
         bright_weight = float((sset.source_vec.real[::sset.dim + 1] / sset.p_detect).sum())
@@ -437,17 +472,16 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution) -> Detec
     residual = np.linalg.norm(src - f1 + sset.phase_avg * surv_f1)
     f2 = solver.solve(f1)                 # n-weighted sum
     f3 = solver.solve(f2)                 # enters the n^2-weighted sum
-    n_mean = float(f2.sum().real) / p_det
-    n_sq = float((2.0 * f3.sum() - f2.sum()).real) / p_det
+    f2_sum = total(f2)
+    n_mean = float(f2_sum.real) / p_det
+    n_sq = float((2.0 * total(f3) - f2_sum).real) / p_det
 
     with np.errstate(over="ignore", invalid="ignore"):    # checked below
-        g = solver.solve(sset.phase_avg_t * (surv_f1 + sset.source_vec))
-        t_mean = float(g.sum().real) / p_det
-        h = solver.solve(
-            sset.phase_avg_tt * (surv_f1 + sset.source_vec)
-            + 2.0 * sset.phase_avg_t * sset.survive(g)
-        )
-        t_sq = float(h.sum().real) / p_det
+        surv_src = surv_f1 + sset.source_vec
+        g = solver.solve(sset.phase_avg_t * surv_src)
+        t_mean = float(total(g).real) / p_det
+        h = solver.solve(sset.phase_avg_tt * surv_src + 2.0 * sset.phase_avg_t * sset.survive(g))
+        t_sq = float(total(h).real) / p_det
 
     moments = {"p_det": p_det, "n_mean": n_mean, "n_sq": n_sq, "t_mean": t_mean,
                "t_sq": t_sq, "n_var": n_sq - n_mean * n_mean,

@@ -760,6 +760,16 @@ def test_cli_each_subcommand_takes_only_the_flags_it_reads():
     assert {name: _settable(p) for name, p in subs.items()} == SUBCOMMAND_FLAGS
 
 
+def test_cli_mc_n_abort_help_names_the_dark_share_cost():
+    # each undetected realization runs the whole cap, and a start with dark
+    # overlap leaves a share 1 - p_det of them undetected
+    n_abort = next(a for a in _subparsers(cli.build_parser())["mc"]._actions
+                   if a.option_strings == ["--n-abort"])
+    assert n_abort.default == 10**6
+    text = n_abort.help % {"default": n_abort.default}
+    assert "default 1000000" in text and "1 - p_det" in text and "dark overlap" in text
+
+
 RING5 = ["--L", "5", "--gamma", "1", "--xin", "1", "--xd", "0"]
 FIXED = ["--dist", "fixed", "--tau", "0.6"]
 GAMMA = ["--dist", "gamma", "--alpha", "2", "--mean", "0.6"]

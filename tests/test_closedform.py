@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qprobe.closedform import (RingCaseTag, classify_ring_case, ring_nbar_exp,
-                               ring_nsq_exp, ring_tsq_exp, tls_stats)
+from qprobe.closedform import (VERIFIED_L_MAX, RingCaseTag, classify_ring_case,
+                               ring_nbar_exp, ring_nsq_exp, ring_tsq_exp, tls_stats)
 from qprobe.errors import DivergenceError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
 from qprobe.model import build_ring, build_two_level, spectral_reduce
@@ -30,16 +30,15 @@ def test_case_classification():
     # reflection folding
     folded = classify_ring_case(8, 6)
     assert folded.x_d == 2 and folded.tag is RingCaseTag.EVEN_ARRIVAL
-    assert not classify_ring_case(16, 5).conjectural
-    assert classify_ring_case(17, 5).conjectural
+    assert not classify_ring_case(64, 5).conjectural
+    assert classify_ring_case(65, 5).conjectural
     with pytest.raises(ValueError, match="ring needs L >= 2, got 1"):
         classify_ring_case(1, 0)
 
 
 def test_nbar_frozen_values():
     # antipodal L=24: 576/(32*0.36) + 13 = 63
-    with pytest.warns(UserWarning):
-        assert ring_nbar_exp(24, 12, 1.0, 0.6) == pytest.approx(63.0, abs=1e-12)
+    assert ring_nbar_exp(24, 12, 1.0, 0.6) == pytest.approx(63.0, abs=1e-12)
     # return quantization
     assert ring_nbar_exp(7, 0, 1.0, 0.37) == pytest.approx(4.0, abs=1e-15)
     # odd arrival: 6/8 + 17/4 = 5.0
@@ -94,6 +93,40 @@ def test_closed_forms_match_exact_computation(L, x_d, gamma):
     assert st.n_mean == pytest.approx(ring_nbar_exp(L, x_d, gamma, mu), rel=1e-8)
     assert st.n_sq == pytest.approx(ring_nsq_exp(L, x_d, gamma, mu), rel=1e-8)
     assert st.t_sq == pytest.approx(ring_tsq_exp(L, x_d, gamma, mu), rel=1e-8)
+
+
+RING_PAIRS = [(1.0, 0.6), (0.7, 0.4), (1.3, 1.1)]     # (gamma, mean), one per L mod 3
+
+
+def _check_ring_closed_forms(L, sites):
+    # the exact moments lose digits in step with the condition; measured
+    # worst errors: 1.1e-13 relative at cond < 1e3 and 0.019 eps cond above
+    # 1e6 (1.9e-10 at L = 400, cond 4.5e7), so the bound is 1e-12 + eps cond
+    gamma, mu = RING_PAIRS[L % 3]
+    dist = ExponentialInterval(mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")                 # L <= 64 is the verified range
+        if L > VERIFIED_L_MAX:
+            warnings.filterwarnings("ignore", "ring closed form")
+        for x_d in sites:
+            st = detection_stats(build_superops(spectral_reduce(build_ring(L, gamma, 0, x_d)),
+                                                dist), dist)
+            tol = 1e-12 + np.finfo(float).eps * st.condition
+            for name, got, want in (("n_mean", st.n_mean, ring_nbar_exp(L, x_d, gamma, mu)),
+                                    ("n_sq", st.n_sq, ring_nsq_exp(L, x_d, gamma, mu)),
+                                    ("t_sq", st.t_sq, ring_tsq_exp(L, x_d, gamma, mu))):
+                assert abs(got - want) <= tol * abs(want), (L, x_d, name, got, want, st.condition)
+
+
+@pytest.mark.parametrize("L", range(3, VERIFIED_L_MAX + 1))
+def test_ring_closed_forms_hold_at_every_detector_site(L):
+    assert VERIFIED_L_MAX == 64
+    _check_ring_closed_forms(L, range(L))
+
+
+@pytest.mark.parametrize("L", [80, 101, 160, 257, 400])
+def test_ring_closed_forms_hold_at_sampled_large_rings(L):
+    _check_ring_closed_forms(L, sorted({0, 1, 2, L // 3, L // 2 - 1, L // 2}))
 
 
 def test_tls_return_frozen_values():
@@ -196,13 +229,13 @@ def test_ring_tsq_return_warns_once_at_the_caller():
     # the return branch goes through the n^2 formula without its own warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ring_tsq_exp(20, 0, 1.0, 0.6)
+        ring_tsq_exp(66, 0, 1.0, 0.6)
     assert [w.filename for w in caught] == [__file__]
-    assert "L=20 is outside the numerically verified range" in str(caught[0].message)
+    assert "L=66 is outside the numerically verified range (L <= 64)" in str(caught[0].message)
 
 
 def test_conjectural_range_warns():
     with pytest.warns(UserWarning):
-        ring_nbar_exp(17, 3, 1.0, 0.6)
+        ring_nbar_exp(65, 3, 1.0, 0.6)
     with pytest.warns(UserWarning):
-        ring_tsq_exp(20, 5, 1.0, 0.6)
+        ring_tsq_exp(80, 5, 1.0, 0.6)

@@ -219,7 +219,6 @@ def test_clusters_anchor_at_lowest_eigenvalue():
     assert np.allclose(sd.energies, [0.3e-9, 1.2e-9, 1.0, 2.0], rtol=0, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:ring closed form")   # L > 16 is conjectural
 @pytest.mark.parametrize("L, x_in, nr", [(7, 1, 4), (24, 12, 13), (40, 7, 21)])
 def test_large_energy_scales_reduce_like_unit_hopping(L, x_in, nr):
     # eigh resolves a degenerate pair only to a few eps max|E|, so at gamma >= 1e11

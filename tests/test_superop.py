@@ -17,8 +17,9 @@ import pytest
 from qprobe import cli, superop
 from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
                            IllConditionedError, MomentOverflowError)
-from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
-from qprobe.model import (build_dense, build_ring, build_two_level,
+from qprobe.intervals import (ExponentialInterval, FixedInterval, GammaInterval,
+                              IntervalDistribution)
+from qprobe.model import (SpectralData, build_dense, build_ring, build_two_level,
                           spectral_full, spectral_reduce)
 from qprobe.superop import (build_superops, detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
@@ -65,6 +66,62 @@ def test_fixed_interval_phase_entries_unimodular():
     diff = (sd.energies[:, None] - sd.energies[None, :]).ravel()
     assert np.allclose(sset.phase_avg, np.exp(1j * diff * tau0), atol=1e-14)
     assert np.allclose(np.abs(sset.phase_avg), 1.0, atol=1e-14)
+
+
+def planted_spectrum(energies):
+    """A return problem on the given levels with equal weights, built
+    directly: spectral_reduce would cluster levels spanning 1e250."""
+    n = len(energies)
+    p = np.full(n, 1.0 / n)
+    return SpectralData(energies=energies, p_detect=p, p_init=p, cross_amp=p.astype(complex),
+                        bright=np.eye(n), degeneracy_tol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 2.37, 10.0, 100.9, 1e6])
+def test_gamma_time_weights_from_one_power_match_weighted_charfn(alpha):
+    # build_superops takes phi_t = mu phi / b and phi_tt = mu (1 + 1/alpha)
+    # phi_t / b from the one power phi = b^-alpha, b = 1 - i delta mu/alpha;
+    # weighted_charfn raises b to -(alpha + p) itself.  Both round the
+    # exponent (alpha + p) log b, so the bound grows with it: measured at
+    # most 2.8 eps per unit, pinned at 4, and within 1e-320 where the
+    # values are subnormal (measured 1.5e-321).  |delta| mu/alpha reaches
+    # 1e250, where numpy's integer power overflows for alpha = 1 and 10
+    # and _base_power takes its polar form
+    mu, eps = 0.6, np.finfo(float).eps
+    dist = GammaInterval(alpha, mu)
+    energies = np.concatenate([[0.0], np.geomspace(1e-8, 1e250, 40)]) * alpha / mu
+    sset = build_superops(planted_spectrum(energies), dist)
+    diff = energies[:, None] - energies[None, :]
+    base = dist._base(diff).ravel()
+    assert np.array_equal(sset.phase_avg, dist.charfn(diff).ravel())
+    polar = False
+    for got, power in ((sset.phase_avg_t, 1), (sset.phase_avg_tt, 2)):
+        want = dist.weighted_charfn(diff, power).ravel()
+        bound = 4 * eps * (1 + (alpha + power) * np.abs(np.log(base))) * np.abs(want) + 1e-320
+        assert np.all(np.abs(got - want) <= bound), power
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                base ** (-alpha - power)
+        except FloatingPointError:
+            polar = True
+    assert polar == (alpha in (1.0, 10.0))
+
+
+@pytest.mark.parametrize("tau0", [0.3, 0.6, 1.1, 1e5])
+def test_fixed_time_weights_are_bitwise_weighted_charfn(tau0):
+    # tau0 phi and tau0^2 phi are the very products weighted_charfn forms;
+    # the interface's generic _phase_factors, which calls charfn and
+    # weighted_charfn, is the oracle
+    dist = FixedInterval(tau0)
+    for sd in (spectral_reduce(build_ring(24, 1.0, 7, 0)),
+               planted_spectrum(np.array([-2.0, -0.31, 0.2, 1.7, 40.0]))):
+        sset = build_superops(sd, dist)
+        assert sset.dim == sd.reduced_dim
+        diff = sd.energies[:, None] - sd.energies[None, :]
+        want = IntervalDistribution._phase_factors(dist, diff)
+        for got, expect in zip((sset.phase_avg, sset.phase_avg_t, sset.phase_avg_tt), want):
+            assert np.array_equal(got, expect.ravel())
 
 
 def test_transfer_hermiticity_pairing():
@@ -614,7 +671,7 @@ CROSS_MODELS = {
     "full_ring6": lambda: spectral_full(build_ring(6, 1.0, 1, 0)),   # p_j = 0
 }
 CROSS_DISTS = {"fixed": FixedInterval(0.6), "exp": ExponentialInterval(0.6),
-               "gamma": GammaInterval(10.0, 0.6)}
+               "gamma": GammaInterval(10.0, 0.6), "gamma2.37": GammaInterval(2.37, 0.6)}
 
 
 @pytest.mark.parametrize("dist_name", list(CROSS_DISTS))
@@ -783,6 +840,30 @@ def test_structured_forward_and_adjoint_solves_match_dense(model_name):
             ref = np.linalg.solve(dense, b)
             err = np.linalg.norm(solve(b) - ref) / np.linalg.norm(ref)
             assert err <= 2e-16 * solver.condition, (dist_name, solve.__name__, err)
+
+
+@pytest.mark.parametrize("model_name", ["ring24_x12", "dense_degenerate", "ring160_x33"])
+def test_bordered_matrix_is_real_to_rounding(model_name):
+    # phi_kj = conj(phi_jk), so the complex bordered matrix, built here as
+    # the derivation states it, holds W + W^T = 2 Re W and p^T W + W p =
+    # 2 Re(W p): its imaginary part is rounding (measured <= 9.4e-15
+    # max|M| over these models and four laws), and the solver's real M is
+    # its real part
+    sd = (spectral_reduce(build_ring(160, 1.0, 33, 0)) if model_name == "ring160_x33"
+          else CROSS_MODELS[model_name]())
+    for dist in CROSS_DISTS.values():
+        sset = build_superops(sd, dist)
+        n, p = sset.dim, sset.p_detect
+        phi = sset.phase_avg.reshape(n, n)
+        off = ~np.eye(n, dtype=bool)
+        w = np.zeros((n, n), dtype=complex)
+        w[off] = phi[off] / (1.0 - phi[off])
+        m = np.zeros((n + 1, n + 1), dtype=complex)
+        m[:n, :n] = np.diag(2.0 + p @ w + w @ p) - p[:, None] * (w + w.T)
+        m[:n, n], m[n, :n], m[n, n] = -p, 1.0, -1.0
+        scale = np.abs(m).max()
+        assert np.abs(m.imag).max() <= 1e-14 * scale
+        assert np.abs(-sset._solver._neg_m - m.real).max() <= 1e-14 * scale
 
 
 def test_one_bordered_factorization_per_superoperator_set(capsys, bordered_inverses):
