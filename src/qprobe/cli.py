@@ -98,8 +98,10 @@ def _array_length(flag: str, n: int) -> int:
 
 
 def _reduce_from_args(args, cfg):
+    """The spectral reduction of the configured model, and the model's dimension N."""
     tol = _positive("--degeneracy-tol", args.degeneracy_tol)
-    return spectral_reduce(cfgmod.model_from_config(cfg), degeneracy_tol=tol)
+    model = cfgmod.model_from_config(cfg)
+    return spectral_reduce(model, degeneracy_tol=tol), model.dim
 
 
 @contextlib.contextmanager
@@ -146,14 +148,14 @@ def _emit(fh, fmt: str, doc: dict | None, header=(), rows=()) -> None:
 
 def cmd_stats(args) -> int:
     cfg, _ = _merged_config(args)
-    sd = _reduce_from_args(args, cfg)
+    sd, dim = _reduce_from_args(args, cfg)
     dist = cfgmod.distribution_from_config(cfg)
     sset = build_superops(sd, dist)
     stats = detection_stats(sset, dist)
     census = zero_mode_census(sset)
     moments = stats.as_dict()
     diagnostics = {key: moments.pop(key) for key in ("backend", "residual")}
-    diagnostics["dim"] = sd.bright.shape[0]
+    diagnostics["dim"] = dim
     diagnostics["identity_residual"] = abs(stats.t_mean - dist.mean * stats.n_mean)
     diagnostics["census_method"] = ("shift-invert-arnoldi" if census.structural
                                     else "dense-eigvals")
@@ -180,7 +182,7 @@ def cmd_fn(args) -> int:
     cfg, _ = _merged_config(args)
     dist = cfgmod.distribution_from_config(cfg)
     nmax = _array_length("--nmax", _positive("--nmax", args.nmax))
-    sd = _reduce_from_args(args, cfg)
+    sd, _ = _reduce_from_args(args, cfg)
     with _opened_out(args.out) as fh:
         series = fn_series(build_superops(sd, dist), nmax)
         np.maximum(series, 0.0, out=series)   # clamp roundoff negatives on output only
@@ -192,17 +194,21 @@ def cmd_fn(args) -> int:
 
 def run_sweep(sd, axis: str, points, outputs) -> list[dict]:
     """Evaluate every (grid value, interval law) point in order;
-    ill-conditioned points are flagged in-row.  Rows whose point ran
+    ill-conditioned points are flagged in-row.  Each point solves only for
+    the moments in ``outputs``: the second moments, and their overflow
+    check, only when n_sq or t_sq is printed.  Rows whose point ran
     ``detection_stats`` (every row unless ``outputs`` is only lambda_max)
     also carry its ``condition``, which the CSV does not show."""
+    moments = set(outputs) - {"lambda_max"}
+    second_moments = bool(moments & {"n_sq", "t_sq"})
     rows = []
     for value, dist in points:
         row = {axis: value}
         try:
             sset = build_superops(sd, dist)
             stats = None
-            if set(outputs) - {"lambda_max"}:
-                stats = detection_stats(sset, dist)
+            if moments:
+                stats = detection_stats(sset, dist, second_moments=second_moments)
             for name in outputs:
                 if name == "lambda_max":
                     row[name] = abs(zero_mode_census(sset).slowest_decay)
@@ -242,7 +248,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("alpha axis requires dist=gamma")
     key = "alpha" if args.axis == "alpha" else "tau" if cfg.get("dist") == "fixed" else "mean"
     points = [(v, cfgmod.distribution_from_config({**cfg, key: str(v)})) for v in grid]
-    sd = _reduce_from_args(args, cfg)
+    sd, _ = _reduce_from_args(args, cfg)
     with _opened_out(args.out) as fh:
         rows = run_sweep(sd, args.axis, points, outputs)
         _emit(fh, args.format, {"config": cfg, "rows": rows},

@@ -10,7 +10,13 @@ normalized projection of the detection state onto that eigenspace.
 
 The reduced data is purely spectral: energies, the squared overlaps of
 each bright state with the detection and initial states, and the
-cross amplitudes that carry the interference between them.
+cross amplitudes that carry the interference between them.  The bright
+states themselves are not kept: no computation reads them.
+
+A Hamiltonian stays real (float64) when it is given real, or complex
+with an imaginary part that is exactly zero: every ring, the two-level
+model and every real dense config.  Its symmetry is then checked, and
+it is diagonalized, in real arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +45,11 @@ def _frozen_array(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """Hermitian Hamiltonian plus unit-norm initial and detection states."""
+    """Hermitian Hamiltonian plus unit-norm initial and detection states.
+
+    ``hamiltonian`` is float64 when the input is real or its imaginary
+    part is exactly zero, complex otherwise; the states are complex.
+    """
 
     hamiltonian: np.ndarray
     psi_in: np.ndarray
@@ -47,7 +57,10 @@ class QuantumModel:
     label: str = ""
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = np.asarray(self.hamiltonian)
+        if np.iscomplexobj(h) and not h.imag.any():
+            h = h.real
+        h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise InvalidModelError(f"hamiltonian must be square, got shape {h.shape}")
         n = h.shape[0]
@@ -87,8 +100,9 @@ def build_ring(L: int, gamma: float, x_in: int, x_d: int) -> QuantumModel:
 
     H = -gamma * sum_k (|k><k-1| + |k><k+1|), so the spectrum is the set
     {-2*gamma*cos(2*pi*k/L)}.  For L = 2 both neighbor terms connect the
-    same pair of sites and the effective hopping doubles.  Rings whose
-    complex H would take more than DENSE_MAX_BYTES are refused.
+    same pair of sites and the effective hopping doubles.  H is real;
+    rings whose complex H, which the Monte Carlo's ``eigh`` makes, would
+    take more than DENSE_MAX_BYTES are refused.
     """
     if L < 2:
         raise InvalidModelError(f"ring needs at least 2 sites, got L={L}")
@@ -98,10 +112,10 @@ def build_ring(L: int, gamma: float, x_in: int, x_d: int) -> QuantumModel:
                                 f"(L <= {math.isqrt(DENSE_MAX_BYTES // 16)})")
     if not gamma > 0:
         raise InvalidModelError(f"hopping strength must be positive, got {gamma}")
-    h = np.zeros((L, L), dtype=complex)
-    for j in range(L):
-        h[j, (j + 1) % L] += -gamma
-        h[j, (j - 1) % L] += -gamma
+    h = np.zeros((L, L))
+    j = np.arange(L)
+    h[j, (j + 1) % L] -= gamma      # two statements, so at L = 2 the bonds add
+    h[j, (j - 1) % L] -= gamma
     return QuantumModel(h, basis_state(L, x_in), basis_state(L, x_d),
                         label=f"ring L={L} gamma={gamma} {x_in}->{x_d}")
 
@@ -114,14 +128,14 @@ def build_two_level(gamma: float, x_in: int = 0, x_d: int = 0) -> QuantumModel:
     """
     if not gamma > 0:
         raise InvalidModelError(f"hopping strength must be positive, got {gamma}")
-    h = np.array([[0.0, -gamma], [-gamma, 0.0]], dtype=complex)
+    h = np.array([[0.0, -gamma], [-gamma, 0.0]])
     return QuantumModel(h, basis_state(2, x_in), basis_state(2, x_d),
                         label=f"two-level gamma={gamma} {x_in}->{x_d}")
 
 
 def build_dense(hamiltonian, psi_in, psi_d, label: str = "dense") -> QuantumModel:
     """Wrap an explicit Hermitian matrix and state vectors in a model."""
-    return QuantumModel(np.asarray(hamiltonian, dtype=complex),
+    return QuantumModel(np.asarray(hamiltonian),
                         np.asarray(psi_in, dtype=complex),
                         np.asarray(psi_d, dtype=complex), label=label)
 
@@ -143,9 +157,6 @@ class SpectralData:
     cross_amp : (Nr,) complex
         <psi_d|b_i><b_i|psi_in> per bright state; equals p_detect entrywise
         for the return problem.
-    bright : (N, Nr) complex, or real
-        Bright states as columns in the site basis.  Real only from
-        ``spectral_full`` of a real H, whose eigenvectors are real.
     reduced : bool
         False for the raw full-space variant, where degenerate levels
         repeat and ``p_detect`` may contain zeros (cross-checks only).
@@ -155,13 +166,12 @@ class SpectralData:
     p_detect: np.ndarray
     p_init: np.ndarray
     cross_amp: np.ndarray
-    bright: np.ndarray
     degeneracy_tol: float
     reduced: bool = True
     label: str = ""
 
     def __post_init__(self):
-        for name in ("energies", "p_detect", "p_init", "cross_amp", "bright"):
+        for name in ("energies", "p_detect", "p_init", "cross_amp"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
@@ -195,21 +205,21 @@ def _cluster_starts(w: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _eigenbasis(model: QuantumModel):
-    """Eigenpairs (w, v) of H and the overlaps <E_j|psi_d>, <E_j|psi_in>.
+    """Eigenvalues w of H and the overlaps <E_j|psi_d>, <E_j|psi_in>.
 
     A real H (every ring, every real dense config) goes through the real
     symmetric solver, which takes a fraction of the time and memory of the
-    complex one, and v is then real.  The overlaps are taken from the real
-    and imaginary parts of the states, so no complex copy of v is made.
+    complex one, and its eigenvectors v are then real.  The overlaps are
+    taken from the real and imaginary parts of the states, so no complex
+    copy of v is made.
     """
-    h = model.hamiltonian
-    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    w, v = np.linalg.eigh(model.hamiltonian)
     states = np.stack([model.psi_d, model.psi_in], axis=1)
     if np.iscomplexobj(v):
         comp = (states.conj().T @ v).conj().T
     else:
         comp = (v.T @ states.view(float)).view(complex)
-    return w, v, comp[:, 0], comp[:, 1]
+    return w, comp[:, 0], comp[:, 1]
 
 
 def spectral_reduce(model: QuantumModel,
@@ -227,8 +237,8 @@ def spectral_reduce(model: QuantumModel,
     which makes the output independent of the arbitrary eigenvector
     phases and of the basis chosen inside degenerate clusters, and so of
     whether H was diagonalized in real or complex arithmetic.  Each field
-    sums the ``spectral_full`` one over a cluster (energies: the mean);
-    ``bright`` is complex.
+    sums the ``spectral_full`` one over a cluster (energies: the mean).
+    The bright states are not formed: the fields need only the overlaps.
 
     Clusters are formed at no finer than 8 N eps max|E|, LAPACK's bound on
     the error of ``eigh``'s eigenvalues: at a large energy scale an absolute
@@ -237,7 +247,7 @@ def spectral_reduce(model: QuantumModel,
     """
     if not 0 < degeneracy_tol < np.inf:
         raise ValueError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
-    w, v, comp_d, comp_in = _eigenbasis(model)
+    w, comp_d, comp_in = _eigenbasis(model)
     tol = max(degeneracy_tol, 8 * len(w) * np.finfo(float).eps * float(np.max(np.abs(w))))
     starts = _cluster_starts(w, tol)
     p = np.add.reduceat(np.abs(comp_d) ** 2, starts)
@@ -246,13 +256,11 @@ def spectral_reduce(model: QuantumModel,
     sizes = np.diff(starts, append=len(w))
     energies = np.add.reduceat(w, starts) / sizes
     amp = np.add.reduceat(comp_d.conj() * comp_in, starts)[keep]
-    bright = np.add.reduceat(v * comp_d, starts, axis=1)[:, keep]
     return SpectralData(
         energies=energies[keep],
         p_detect=p,
         p_init=np.abs(amp) ** 2 / p,
         cross_amp=amp,
-        bright=bright / np.sqrt(p),
         degeneracy_tol=tol,
         reduced=True,
         label=model.label,
@@ -265,16 +273,13 @@ def spectral_full(model: QuantumModel) -> SpectralData:
     Degenerate energies repeat and detection overlaps may vanish, so the
     downstream linear systems are singular; this path exists only for
     cross-checks against the reduced one.
-    ``bright`` holds the eigenvectors as ``eigh`` returns them: real for a
-    real H, with arbitrary signs (phases) and bases inside degenerate levels.
     """
-    w, v, comp_d, comp_in = _eigenbasis(model)
+    w, comp_d, comp_in = _eigenbasis(model)
     return SpectralData(
         energies=w,
         p_detect=np.abs(comp_d) ** 2,
         p_init=np.abs(comp_in) ** 2,
         cross_amp=comp_d.conj() * comp_in,
-        bright=v,
         degeneracy_tol=0.0,
         reduced=False,
         label=model.label,

@@ -29,9 +29,12 @@ a characteristic function has phi(-delta) = conj(phi(delta)), so it is
 inverted and applied in real arithmetic.  A superoperator set inverts
 it at most once: the moments, the adjoint solves (by the similarity
 S^T = diag(p)^-1 S diag(p), with no second inverse), the condition gate
-(an exact 1-norm times a Hager-Higham estimate of the inverse 1-norm)
-and the zero-mode census all share that one solver, the only pair-space
-operator applied.  The census finds the slowest decay rate, the Perron
+(an exact 1-norm, O(Nr^2) from the rank-one-plus-diagonal |S|, times a
+Hager-Higham estimate of the inverse 1-norm) and the zero-mode census
+all share that one solver, the only pair-space operator applied.
+p_det and the first moments take three solves and the second moments
+two more, which a caller that prints no second moment (a sweep without
+n_sq and t_sq) skips.  The census finds the slowest decay rate, the Perron
 root of the transfer map and its eigenvalue nearest 1, as 1 + 1/nu for
 the dominant eigenvalue nu of -J^-1.  The Nr^2 x Nr^2 matrices are formed
 only for the census of small sets (Nr <= 12) and the dense test oracles,
@@ -165,16 +168,18 @@ class DetectionStatistics:
     ``condition`` estimates cond_1 of the resolvent; ``backend`` names the
     solver, always ``"structured"``, and ``residual`` is the relative
     residual ||b - J x|| / ||b|| (2-norms) of the first solve.
-    ``reduced_dim`` is the set's ``dim``, the levels solved in.
+    ``reduced_dim`` is the set's ``dim``, the levels solved in.  The
+    second moments and variances are None when ``detection_stats`` was
+    asked for the first moments only.
     """
 
     p_det: float
     n_mean: float
-    n_sq: float
+    n_sq: float | None
     t_mean: float
-    t_sq: float
-    n_var: float
-    t_var: float
+    t_sq: float | None
+    n_var: float | None
+    t_var: float | None
     condition: float
     reduced_dim: int
     backend: str
@@ -265,15 +270,19 @@ def fn_series(sset: SuperoperatorSet, n_max: int) -> np.ndarray:
 
 
 def _resolvent_norm1(p: np.ndarray, phi: np.ndarray) -> float:
-    """||J||_1 exactly in O(Nr^3): the column (l, m) of J = I - diag(phi)
+    """||J||_1 exactly in O(Nr^2): the column (l, m) of J = I - diag(phi)
     (S (x) S) sums to (|S|^T |phi| |S|)_lm - |t_lm| + |1 - t_lm|, where
-    t_lm = phi_lm S_ll S_mm is its diagonal entry of the transfer matrix."""
-    n, s_diag = len(p), 1.0 - p
-    a = np.empty((n, n))                  # |S|: p_j off the diagonal, |1 - p_j| on it
-    a[:] = p[:, None]
-    a.ravel()[::n + 1] = np.abs(s_diag)
+    t_lm = phi_lm S_ll S_mm is its diagonal entry of the transfer matrix.
+    |S| = p 1^T + diag(d), with d = |1 - p| - p, so the triple product is
+    p^T |phi| p + d_l (|phi| p)_l + d_m (p^T |phi|)_m + d_l d_m |phi_lm|."""
+    s_diag = 1.0 - p
+    d = np.abs(s_diag) - p
+    mag = np.abs(phi)
+    mag_p, p_mag = mag @ p, p @ mag
     t = phi * np.multiply.outer(s_diag, s_diag)
-    cols = a.T @ np.abs(phi) @ a - np.abs(t) + np.abs(1.0 - t)
+    cols = mag * np.multiply.outer(d, d)
+    cols += (p_mag @ p + d * p_mag) + (d * mag_p)[:, None]
+    cols += np.abs(1.0 - t) - np.abs(t)
     return float(cols.max())
 
 
@@ -437,20 +446,24 @@ def _exceptional_pairs(sset: SuperoperatorSet):
     return [(int(a), int(b), float(mag[a, b])) for a, b in zip(j[order], k[order])]
 
 
-def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution) -> DetectionStatistics:
+def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
+                    second_moments: bool = True) -> DetectionStatistics:
     """Total detection probability and conditional attempt/time moments.
 
     All moments come from repeated solves against the resolvent applied to
     the rank-one source; no Nr^2 x Nr^2 inverse is formed.  Every moment
     is normalized by the detection probability, so the results are
-    conditioned on eventual detection.
+    conditioned on eventual detection.  p_det and the first moments take
+    three solves, the second moments two more and a survival product;
+    with ``second_moments=False`` (a sweep that prints neither n_sq nor
+    t_sq) those are skipped and n_sq, t_sq, n_var and t_var are None.
 
     Raises IllConditionedError when the estimated condition number exceeds
     DEFAULT_COND_LIMIT = 1e12 (typically near an exceptional fixed probing
     period or at a near-degenerate spectrum).  Raises DegenerateProblemError
     when p_det vanishes, and MomentOverflowError, naming the first moment
-    that is not finite, when a moment overflows a double although the
-    interval law's do not.
+    computed that is not finite, when a moment overflows a double although
+    the interval law's do not.
     """
     solver = sset._solver
     if solver.condition > DEFAULT_COND_LIMIT:
@@ -471,23 +484,25 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution) -> Detec
     surv_f1 = sset.survive(f1)
     residual = np.linalg.norm(src - f1 + sset.phase_avg * surv_f1)
     f2 = solver.solve(f1)                 # n-weighted sum
-    f3 = solver.solve(f2)                 # enters the n^2-weighted sum
     f2_sum = total(f2)
     n_mean = float(f2_sum.real) / p_det
-    n_sq = float((2.0 * total(f3) - f2_sum).real) / p_det
-
     with np.errstate(over="ignore", invalid="ignore"):    # checked below
         surv_src = surv_f1 + sset.source_vec
         g = solver.solve(sset.phase_avg_t * surv_src)
         t_mean = float(total(g).real) / p_det
-        h = solver.solve(sset.phase_avg_tt * surv_src + 2.0 * sset.phase_avg_t * sset.survive(g))
-        t_sq = float(total(h).real) / p_det
-
-    moments = {"p_det": p_det, "n_mean": n_mean, "n_sq": n_sq, "t_mean": t_mean,
-               "t_sq": t_sq, "n_var": n_sq - n_mean * n_mean,
-               "t_var": t_sq - t_mean * t_mean}    # float * overflows to inf, ** raises
+    moments = {"p_det": p_det, "n_mean": n_mean, "n_sq": None, "t_mean": t_mean,
+               "t_sq": None, "n_var": None, "t_var": None}
+    if second_moments:
+        f3 = solver.solve(f2)             # enters the n^2-weighted sum
+        n_sq = float((2.0 * total(f3) - f2_sum).real) / p_det
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = solver.solve(sset.phase_avg_tt * surv_src
+                             + 2.0 * sset.phase_avg_t * sset.survive(g))
+            t_sq = float(total(h).real) / p_det
+        moments.update(n_sq=n_sq, t_sq=t_sq, n_var=n_sq - n_mean * n_mean,
+                       t_var=t_sq - t_mean * t_mean)   # float * overflows to inf, ** raises
     for name, value in moments.items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise MomentOverflowError(
                 f"{name} = {value} is not finite in double precision; the interval "
                 f"scale (mean {dist.mean:.3e}) is too large for this model, rescale time")

@@ -148,8 +148,11 @@ class TrajectoryEnsemble:
 
 def _eigenphase_setup(model: QuantumModel):
     """Minus half the eigenvalues (the half-phase rates of the probe step;
-    halving is exact) and the eigenbasis amplitudes of psi_in and psi_d."""
-    w, v = np.linalg.eigh(model.hamiltonian)
+    halving is exact) and the eigenbasis amplitudes of psi_in and psi_d.
+
+    H is diagonalized in complex arithmetic even when it is real, so the
+    Monte Carlo shares no eigensolver path with ``spectral_reduce``."""
+    w, v = np.linalg.eigh(np.asarray(model.hamiltonian, dtype=complex))
     coeff_in = v.conj().T @ model.psi_in
     coeff_d = v.conj().T @ model.psi_d
     return -0.5 * w, coeff_in, coeff_d

@@ -311,6 +311,93 @@ def test_cli_sweep_csv_bytes(capsys):
     assert capsys.readouterr().out == expect.getvalue()
 
 
+MOMENT_OUTPUTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq")
+SUBSETS = [tuple(name for i, name in enumerate(MOMENT_OUTPUTS) if mask >> i & 1)
+           for mask in range(1, 2 ** len(MOMENT_OUTPUTS))]
+
+
+def _sweep_cases():
+    """(axis, points) on ring 7 under each law: fixed periods with an
+    ill-conditioned one and an exact exceptional one, where levels 0 and 3
+    merge; exp means; gamma shapes."""
+    sd = spectral_reduce(build_ring(7, 1.0, 1, 0))
+    tau_c = 2 * np.pi / (sd.energies[3] - sd.energies[0])
+    fixed = [*EXCEPTIONAL_GRID, tau_c]
+    return sd, {
+        "fixed": ("mean_tau", [(t, FixedInterval(t)) for t in fixed]),
+        "exp": ("mean_tau", [(m, ExponentialInterval(m)) for m in (0.3, 0.6, 1.7)]),
+        "gamma": ("alpha", [(a, GammaInterval(a, 0.6)) for a in (0.5, 2.37, 10.0)]),
+    }
+
+
+def test_sweep_rows_equal_full_detection_stats_for_every_output_subset():
+    # a sweep that prints no second moment skips their solves; what it prints
+    # is bitwise the full detection_stats field, and flagged rows keep their
+    # status and condition
+    sd, cases = _sweep_cases()
+    for law, (axis, points) in cases.items():
+        full = []
+        for _, dist in points:
+            try:
+                full.append(detection_stats(build_superops(sd, dist), dist))
+            except IllConditionedError as exc:
+                full.append(exc)
+        assert any(isinstance(st, IllConditionedError) for st in full) == (law == "fixed")
+        for outputs in SUBSETS:
+            rows = cli.run_sweep(sd, axis, points, outputs)
+            for row, st in zip(rows, full):
+                if isinstance(st, IllConditionedError):
+                    assert row["status"] == f"ill-conditioned cond~{st.condition:.3e}"
+                    assert row["condition"] == st.condition
+                    assert all(row[name] == "" for name in outputs)
+                    continue
+                assert row["status"] == "ok" and row["condition"] == st.condition
+                for name in outputs:
+                    assert row[name] == getattr(st, name), (law, outputs, name)
+    assert build_superops(sd, cases["fixed"][1][-1][1]).dim == 3      # the merged point
+
+
+@pytest.mark.parametrize("law", ["fixed", "exp", "gamma"])
+def test_first_moments_take_the_full_solves_minus_the_second_moment_ones(monkeypatch, law):
+    # the first moments' solves are the first 8 of the full 10, in order:
+    # the condition estimate's 5 at ring 7, then f1, f2 and g; f3 and h follow
+    seen = []
+    solve = superop._ResolventSolver.solve
+
+    def recording(self, b):
+        seen.append(b.tobytes())
+        return solve(self, b)
+
+    monkeypatch.setattr(superop._ResolventSolver, "solve", recording)
+    sd, cases = _sweep_cases()
+    for _, dist in cases[law][1][:1]:
+        runs = {}
+        for second in (True, False):
+            del seen[:]
+            st = detection_stats(build_superops(sd, dist), dist, second_moments=second)
+            runs[second] = list(seen)
+            assert (st.n_sq is None) == (not second)
+        full, first = runs[True], runs[False]
+        assert len(full) == 10 and first == full[:8]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_without_t_sq_runs_where_only_t_sq_overflows(capsys):
+    # t_sq overflows a double at mean 1e153, so stats exits 2; a sweep that
+    # prints no second moment never solves for it, and one that does exits 2
+    ring = ["--L", "24", "--gamma", "1", "--xin", "12", "--xd", "0", "--dist", "exp"]
+    argv = ["sweep", *ring, "--axis", "mean_tau", "--grid", "0.6,1e153", "--format", "json"]
+    assert cli.main([*argv, "--outputs", "p_det,n_mean,t_mean"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert rows[1]["t_mean"] == pytest.approx(1e153 * rows[1]["n_mean"], rel=1e-12)
+    assert cli.main([*argv, "--outputs", "n_mean,t_sq"]) == 2
+    assert cli.main(["stats", *ring, "--mean", "1e153"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: t_sq = ") == 2
+
+
 def test_cli_sweep_gamma_peaks_grow_with_alpha(capsys):
     grid = ",".join(str(x) for x in np.round(np.arange(1.5, 1.901, 0.025), 4))
     maxima = {}

@@ -1,5 +1,6 @@
 """Model construction and spectral reduction tests."""
 
+import copy
 import json
 import os
 import subprocess
@@ -11,15 +12,33 @@ import pytest
 from scipy.linalg import expm
 
 from qprobe.closedform import ring_nbar_exp
+from qprobe.config import model_from_config
 from qprobe.errors import InvalidModelError
 from qprobe.intervals import ExponentialInterval, GammaInterval
-from qprobe.model import (QuantumModel, basis_state, build_dense, build_ring,
+from qprobe.model import (QuantumModel, _cluster_starts, basis_state, build_dense, build_ring,
                           build_two_level, spectral_full, spectral_reduce)
 from qprobe.superop import build_superops, detection_stats
+from qprobe.trajectory import run_bernoulli, run_per_realization
 
 
 def ring_energies(L, gamma):
     return np.sort(np.array([-2 * gamma * np.cos(2 * np.pi * k / L) for k in range(L)]))
+
+
+def bright_states(model, sd):
+    """The bright states of ``sd`` as columns in the site basis, rebuilt from
+    ``eigh`` of H: for ``spectral_full``, the eigenvectors as ``eigh`` returns
+    them (real for a real H); for a reduction, the normalized projection of
+    psi_d onto each kept cluster, found by its mean energy."""
+    w, v = np.linalg.eigh(model.hamiltonian)
+    if not sd.reduced:
+        return v
+    starts = _cluster_starts(w, sd.degeneracy_tol)
+    means = np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
+    kept = np.searchsorted(means, sd.energies)
+    assert np.array_equal(means[kept], sd.energies)
+    proj = np.add.reduceat(v * (v.conj().T @ model.psi_d), starts, axis=1)
+    return proj[:, kept] / np.sqrt(sd.p_detect)
 
 
 def test_two_site_ring_doubles_the_bond():
@@ -130,7 +149,8 @@ def test_reduction_invariants_ring7():
     # Cauchy-Schwarz per index
     assert np.all(np.abs(sd.cross_amp) ** 2 <= sd.p_detect * sd.p_init + 1e-12)
     # bright states orthonormal
-    gram = sd.bright.conj().T @ sd.bright
+    bright = bright_states(build_ring(7, 1.0, 1, 0), sd)
+    gram = bright.conj().T @ bright
     assert np.max(np.abs(gram - np.eye(4))) < 1e-10
 
 
@@ -181,7 +201,8 @@ def test_propagator_reconstruction_no_dark_component():
 def test_propagator_reconstruction_with_dark_component():
     model = build_ring(6, 1.0, 1, 0)
     sd = spectral_reduce(model)
-    proj_in = sd.bright @ (sd.bright.conj().T @ model.psi_in)
+    bright = bright_states(model, sd)
+    proj_in = bright @ (bright.conj().T @ model.psi_in)
     for t in (0.1, 1.0, 5.0):
         direct = np.vdot(model.psi_d, expm(-1j * t * model.hamiltonian) @ proj_in)
         spectral = np.sum(sd.cross_amp * np.exp(-1j * sd.energies * t))
@@ -300,8 +321,8 @@ def test_real_hamiltonian_reduces_like_its_complex_gauge_twin(name):
     build, nr, is_return = PARITY_MODELS[name]
     model = build()
     twin = gauged(model)
-    assert np.isrealobj(spectral_full(model).bright)
-    assert np.iscomplexobj(spectral_full(twin).bright)
+    assert np.isrealobj(bright_states(model, spectral_full(model)))
+    assert np.iscomplexobj(bright_states(twin, spectral_full(twin)))
     a, b = spectral_reduce(model), spectral_reduce(twin)
     assert a.reduced_dim == nr
     assert a.is_return_problem() == is_return
@@ -325,16 +346,88 @@ print(json.dumps([before, peak_kib()]))
 """
 
 
-def test_ring_build_and_reduce_peak_within_four_hamiltonians():
+def test_ring_build_and_reduce_peak_within_three_hamiltonians():
     # the peak RSS of a fresh process over building and reducing ring 1500,
-    # against its 16 L^2-byte complex H: the build's Hermiticity check reaches
-    # ~3 H and the real eigh stays under it; a complex eigh of it reaches ~5.1 H.
-    # VmHWM is this process image's own peak; ru_maxrss would start from the
-    # RSS of the test process that spawned it
+    # against a 16 L^2-byte complex H: the real H, its symmetry check and the
+    # real eigh reach ~2.6 of it (~3.2 while H was complex; a complex eigh
+    # reaches ~5.1).  VmHWM is this process image's own peak; ru_maxrss would
+    # start from the RSS of the test process that spawned it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", RING_REDUCE_PEAK], env=env,
                          capture_output=True, text=True, check=True)
     before, after = json.loads(out.stdout)
-    assert (after - before) * 1024 <= 4 * 16 * 1500**2
+    assert (after - before) * 1024 <= 3 * 16 * 1500**2
+
+
+def loop_ring(L, gamma):
+    """The ring Hamiltonian built bond by bond, as a complex matrix."""
+    h = np.zeros((L, L), dtype=complex)
+    for j in range(L):
+        h[j, (j + 1) % L] += -gamma
+        h[j, (j - 1) % L] += -gamma
+    return h
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 7, 64])
+def test_real_hamiltonians_stay_real(L):
+    # rings, the two-level model and dense configs with a zero imaginary
+    # part keep a float64 H, bitwise the real part of the complex one
+    ring = build_ring(L, 0.7, 1, 0)
+    assert ring.hamiltonian.dtype == np.float64
+    assert ring.hamiltonian.tobytes() == loop_ring(L, 0.7).real.tobytes()
+    assert build_two_level(1.3).hamiltonian.dtype == np.float64
+    dense = model_from_config({"kind": "dense", "n": str(L), "x_in": "1", "x_d": "0",
+                               "hamiltonian": ",".join(
+                                   map(repr, loop_ring(L, 0.7).view(float).ravel().tolist()))})
+    assert dense.hamiltonian.dtype == np.float64
+    assert np.array_equal(dense.hamiltonian, ring.hamiltonian)
+    twin = gauged(ring)
+    assert twin.hamiltonian.dtype == np.complex128 and twin.hamiltonian.imag.any()
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "per_realization"])
+def test_monte_carlo_records_do_not_see_the_real_hamiltonian(mode):
+    # the Monte Carlo diagonalizes its own complex copy of H, so a real H
+    # gives bitwise the records of the complex H a ring used to carry
+    model = build_ring(9, 1.0, 2, 0)
+    complex_twin = copy.copy(model)
+    object.__setattr__(complex_twin, "hamiltonian", loop_ring(9, 1.0))
+    dist = ExponentialInterval(0.6)
+    if mode == "bernoulli":
+        a, b = (run_bernoulli(m, dist, n_real=3000, seed=4, n_abort=200)
+                for m in (model, complex_twin))
+        assert np.array_equal(a.attempts, b.attempts) and np.array_equal(a.times, b.times)
+    else:
+        a, b = (run_per_realization(m, dist, n_real=500, n_cut=60, seed=4)
+                for m in (model, complex_twin))
+        assert np.array_equal(a.nbar, b.nbar) and np.array_equal(a.pdet, b.pdet)
+    assert a.summary() == b.summary()
+
+
+@pytest.mark.parametrize("L, gamma, x_in, x_d", [
+    (2, 1.0, 1, 0), (7, 1.0, 3, 0), (64, 0.8, 17, 5), (65, 2.5, 0, 40),
+    (1001, 1.0, 300, 2), (3000, 1.3, 1717, 9),
+])
+def test_spectral_reduce_matches_the_analytic_ring(L, gamma, x_in, x_d):
+    # levels -2 gamma cos(2 pi k / L), k = 0 .. L/2, each the cluster {k, L - k}:
+    # p_k = 2/L (1/L at k = 0 and L/2) and cross amplitude 2 cos(2 pi k (x_in -
+    # x_d) / L) / L (half that at k = 0 and L/2).  eigh resolves a level to a
+    # few eps max|E|, and a bright state to eps max|E| / gap against its
+    # nearest level (Davis-Kahan): gap = 2 gamma (1 - cos(2 pi / L)) at k = 0.
+    # Measured at L = 3000: energies within 14 eps max|E|, p and the
+    # amplitudes within 1.6 eps max|E| / gap of 1/L
+    sd = spectral_reduce(build_ring(L, gamma, x_in, x_d))
+    k = np.arange(L // 2 + 1)
+    ends = (k == 0) | (2 * k == L)
+    energies = -2 * gamma * np.cos(2 * np.pi * k / L)
+    p = np.where(ends, 1.0, 2.0) / L
+    amp = p * np.cos(2 * np.pi * k * (x_in - x_d) / L)
+    scale = np.finfo(float).eps * 2 * gamma
+    gap = 2 * gamma * (1 - np.cos(2 * np.pi / L))
+    assert sd.reduced_dim == len(k)
+    assert np.abs(sd.energies - energies).max() <= 64 * scale
+    assert np.abs(sd.p_detect - p).max() * L <= 10 * scale / gap
+    assert np.abs(sd.cross_amp - amp).max() * L <= 10 * scale / gap
+    assert np.abs(sd.p_init - amp**2 / p).max() * L <= 10 * scale / gap

@@ -37,7 +37,7 @@ from qprobe.model import build_dense, spectral_full, spectral_reduce
 from qprobe.superop import (DEFAULT_COND_LIMIT, DENSE_CENSUS_MAX_DIM, build_superops,
                             detection_stats, fn_series, zero_mode_census)
 from qprobe.verify import dense_reference_stats, stroboscopic_fn_direct
-from test_model import assert_reductions_agree, gauged
+from test_model import assert_reductions_agree, bright_states, gauged
 
 MOMENTS = ("p_det", "n_mean", "n_sq", "t_mean", "t_sq")
 
@@ -141,7 +141,7 @@ def real_models(draw):
 @given(case=real_models())
 def test_real_models_reduce_like_their_complex_gauge_twins(case):
     model, levels = case
-    assert np.isrealobj(spectral_full(model).bright)    # the real symmetric solver ran
+    assert np.isrealobj(bright_states(model, spectral_full(model)))    # the real solver ran
     a = spectral_reduce(model)
     assert a.reduced_dim == levels          # each planted level is one bright cluster
     assert_reductions_agree(a, spectral_reduce(gauged(model)))

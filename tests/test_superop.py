@@ -74,7 +74,7 @@ def planted_spectrum(energies):
     n = len(energies)
     p = np.full(n, 1.0 / n)
     return SpectralData(energies=energies, p_detect=p, p_init=p, cross_amp=p.astype(complex),
-                        bright=np.eye(n), degeneracy_tol=0.0)
+                        degeneracy_tol=0.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -818,6 +818,30 @@ def test_phase_near_one_route_to_the_gate(law):
         assert conds == sorted(conds) and conds[0] < 1e4 and 1e11 < conds[-1] < 1e12
     else:
         assert max(residuals) <= 1e-10
+
+
+NORM1_MODELS = {**{name: make for name, make in CROSS_MODELS.items() if name != "full_ring6"},
+                "ring38_x5": lambda: spectral_reduce(build_ring(38, 1.0, 5, 0)),     # Nr = 20
+                "ladder_1e-8": lambda: p_min_ladder_model(1e-8)}
+
+
+@pytest.mark.parametrize("dist_name", list(CROSS_DISTS))
+@pytest.mark.parametrize("model_name", list(NORM1_MODELS))
+def test_resolvent_norm1_matches_the_dense_column_sums(model_name, dist_name):
+    # ||J||_1 from the rank-one-plus-diagonal |S| in O(Nr^2) against the
+    # column sums of the dense J; also on ring 7's set at an exceptional
+    # fixed period, where levels 0 and 3 merge
+    sset = build_superops(NORM1_MODELS[model_name](), CROSS_DISTS[dist_name])
+    sets = [sset]
+    if model_name == "ring7_x1":
+        sd = NORM1_MODELS[model_name]()
+        tau_c = 2 * np.pi / (sd.energies[3] - sd.energies[0])
+        sets.append(build_superops(sd, FixedInterval(tau_c)))
+        assert sets[-1].dim == 3
+    for s in sets:
+        dense = np.abs(s.resolvent).sum(axis=0).max()
+        got = superop._resolvent_norm1(s.p_detect, s.phase_avg.reshape(s.dim, s.dim))
+        assert abs(got - dense) <= 1e-14 * dense
 
 
 SOLVE_MODELS = {name: make for name, make in CROSS_MODELS.items() if name != "full_ring6"}
