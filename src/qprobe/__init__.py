@@ -18,8 +18,8 @@ from .errors import (ConfigError, ConvergenceError, DegenerateProblemError,
 from .intervals import (ExponentialInterval, FixedInterval, GammaInterval,
                         IntervalDistribution)
 from .model import (QuantumModel, SpectralData, basis_state, build_dense,
-                    build_ring, build_two_level, spectral_full,
-                    spectral_reduce)
+                    build_ring, build_two_level, ring_spectrum,
+                    spectral_full, spectral_reduce)
 from .superop import (DetectionStatistics, IdentityReport, SuperoperatorSet,
                       ZeroModeCensus, build_superops, detection_stats,
                       fn_series, universal_identity_check, zero_mode_census)
@@ -39,7 +39,7 @@ __all__ = [
     "ZeroModeCensus", "basis_state", "build_dense", "build_ring",
     "build_superops", "build_two_level", "classify_ring_case",
     "detection_stats", "fn_series", "ring_nbar_exp", "ring_nsq_exp",
-    "ring_tsq_exp", "run_bernoulli", "run_per_realization", "run_verify",
-    "spectral_full", "spectral_reduce", "stroboscopic_fn_direct",
+    "ring_spectrum", "ring_tsq_exp", "run_bernoulli", "run_per_realization",
+    "run_verify", "spectral_full", "spectral_reduce", "stroboscopic_fn_direct",
     "tls_stats", "universal_identity_check", "zero_mode_census",
 ]

@@ -42,7 +42,7 @@ import numpy as np
 from . import config as cfgmod
 from .errors import (ConfigError, ConvergenceError, DivergenceError, IllConditionedError,
                      QprobeError)
-from .model import DEFAULT_DEGENERACY_TOL, DENSE_MAX_BYTES, spectral_reduce
+from .model import DEFAULT_DEGENERACY_TOL, DENSE_MAX_BYTES, ring_spectrum, spectral_reduce
 from .superop import build_superops, detection_stats, fn_series, zero_mode_census
 from .trajectory import DEFAULT_ABORT, run_bernoulli, run_per_realization
 from .verify import run_verify
@@ -98,8 +98,13 @@ def _array_length(flag: str, n: int) -> int:
 
 
 def _reduce_from_args(args, cfg):
-    """The spectral reduction of the configured model, and the model's dimension N."""
+    """The spectral reduction of the configured model, and the model's
+    dimension N.  A ring is reduced in its sector even about the detector,
+    without its L x L Hamiltonian."""
     tol = _positive("--degeneracy-tol", args.degeneracy_tol)
+    ring = cfgmod.ring_from_config(cfg)
+    if ring is not None:
+        return ring_spectrum(*ring, degeneracy_tol=tol), ring[0]
     model = cfgmod.model_from_config(cfg)
     return spectral_reduce(model, degeneracy_tol=tol), model.dim
 
@@ -198,7 +203,10 @@ def run_sweep(sd, axis: str, points, outputs) -> list[dict]:
     the moments in ``outputs``: the second moments, and their overflow
     check, only when n_sq or t_sq is printed.  Rows whose point ran
     ``detection_stats`` (every row unless ``outputs`` is only lambda_max)
-    also carry its ``condition``, which the CSV does not show."""
+    also carry its ``condition``, which the CSV does not show.  A point's
+    superoperator set is freed before the next point builds its own: two at
+    once lift the heap's high-water mark past glibc's trim threshold, and
+    each point then refaults the pages that a free returned."""
     moments = set(outputs) - {"lambda_max"}
     second_moments = bool(moments & {"n_sq", "t_sq"})
     rows = []
@@ -217,6 +225,7 @@ def run_sweep(sd, axis: str, points, outputs) -> list[dict]:
             row["status"] = "ok"
             if stats is not None:
                 row["condition"] = stats.condition
+            del sset                      # freed before the next point makes its own
         except IllConditionedError as exc:
             for name in outputs:
                 row[name] = ""

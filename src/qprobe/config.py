@@ -73,11 +73,18 @@ def _interleaved_complex(values: np.ndarray) -> np.ndarray:
     return values[0::2] + 1j * values[1::2]
 
 
+def ring_from_config(cfg: dict[str, str]) -> tuple[int, float, int, int] | None:
+    """(L, gamma, x_in, x_d) of a ring config, None for any other kind."""
+    if cfg.get("kind", "ring") != "ring":
+        return None
+    return _get(cfg, "L", int), _get(cfg, "gamma"), _get(cfg, "x_in", int), _get(cfg, "x_d", int)
+
+
 def model_from_config(cfg: dict[str, str]) -> QuantumModel:
-    kind = cfg.get("kind", "ring")
-    if kind == "ring":
-        return build_ring(_get(cfg, "L", int), _get(cfg, "gamma"),
-                          _get(cfg, "x_in", int), _get(cfg, "x_d", int))
+    ring = ring_from_config(cfg)
+    if ring is not None:
+        return build_ring(*ring)
+    kind = cfg["kind"]
     if kind == "dense":
         n = _get(cfg, "n", int)
         if n < 1:

@@ -17,6 +17,21 @@ A Hamiltonian stays real (float64) when it is given real, or complex
 with an imaginary part that is exactly zero: every ring, the two-level
 model and every real dense config.  Its symmetry is then checked, and
 it is diagonalized, in real arithmetic.
+
+A ring needs no L x L matrix at all.  Its bright states lie in the
+sector even under the reflection x_d + k <-> x_d - k about the detector,
+the Hilbert space "symmetrized about the target state", of dimension
+floor(L/2) + 1.  In the basis |x_d>, (|x_d+k> + |x_d-k>)/sqrt 2 and,
+for even L, |x_d+L/2>, H is the real tridiagonal Jacobi matrix of psi_d
+(Golub and Welsch, Math. Comp. 23, 1969): hopping -sqrt(2) gamma on the
+end bonds and -gamma elsewhere, -gamma on the last diagonal entry for
+odd L.  ``ring_spectrum`` diagonalizes that matrix; its eigenvalues are
+the levels k = 0 .. floor(L/2), the squares of the eigenvectors' first
+entries the weights p_j, and the initial state enters through its
+projection onto the sector.  Clusters
+are weighted by each level's full-space multiplicity (1 at k = 0 and
+k = L/2, 2 otherwise), so they and their energies match
+``spectral_reduce(build_ring(...))`` up to rounding.
 """
 
 from __future__ import annotations
@@ -86,10 +101,14 @@ class QuantumModel:
         return self.hamiltonian.shape[0]
 
 
-def basis_state(n: int, k: int) -> np.ndarray:
-    """Site basis vector |k> in an n-dimensional space."""
+def _check_site(n: int, k: int) -> None:
     if not 0 <= k < n:
         raise InvalidModelError(f"site index must lie in [0, {n}), got {k}")
+
+
+def basis_state(n: int, k: int) -> np.ndarray:
+    """Site basis vector |k> in an n-dimensional space."""
+    _check_site(n, k)
     v = np.zeros(n, dtype=complex)
     v[k] = 1.0
     return v
@@ -104,6 +123,17 @@ def build_ring(L: int, gamma: float, x_in: int, x_d: int) -> QuantumModel:
     rings whose complex H, which the Monte Carlo's ``eigh`` makes, would
     take more than DENSE_MAX_BYTES are refused.
     """
+    _check_ring(L, gamma, x_in, x_d)
+    h = np.zeros((L, L))
+    j = np.arange(L)
+    h[j, (j + 1) % L] -= gamma      # two statements, so at L = 2 the bonds add
+    h[j, (j - 1) % L] -= gamma
+    return QuantumModel(h, basis_state(L, x_in), basis_state(L, x_d),
+                        label=f"ring L={L} gamma={gamma} {x_in}->{x_d}")
+
+
+def _check_ring(L: int, gamma: float, x_in: int, x_d: int) -> None:
+    """The checks of ``build_ring``, in its order and with its messages."""
     if L < 2:
         raise InvalidModelError(f"ring needs at least 2 sites, got L={L}")
     if 16 * L * L > DENSE_MAX_BYTES:
@@ -112,12 +142,8 @@ def build_ring(L: int, gamma: float, x_in: int, x_d: int) -> QuantumModel:
                                 f"(L <= {math.isqrt(DENSE_MAX_BYTES // 16)})")
     if not gamma > 0:
         raise InvalidModelError(f"hopping strength must be positive, got {gamma}")
-    h = np.zeros((L, L))
-    j = np.arange(L)
-    h[j, (j + 1) % L] -= gamma      # two statements, so at L = 2 the bonds add
-    h[j, (j - 1) % L] -= gamma
-    return QuantumModel(h, basis_state(L, x_in), basis_state(L, x_d),
-                        label=f"ring L={L} gamma={gamma} {x_in}->{x_d}")
+    _check_site(L, x_in)
+    _check_site(L, x_d)
 
 
 def build_two_level(gamma: float, x_in: int = 0, x_d: int = 0) -> QuantumModel:
@@ -222,6 +248,34 @@ def _eigenbasis(model: QuantumModel):
     return w, comp[:, 0], comp[:, 1]
 
 
+def _check_degeneracy_tol(degeneracy_tol: float) -> None:
+    if not 0 < degeneracy_tol < np.inf:
+        raise ValueError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
+
+
+def _reduce(w, comp_d, comp_in, mult, dim: int, degeneracy_tol: float,
+            label: str) -> SpectralData:
+    """Cluster the sorted levels ``w``, each standing for ``mult`` levels of
+    a dim-dimensional space, and drop the dark clusters; see
+    ``spectral_reduce``.  A cluster's energy is its ``mult``-weighted mean."""
+    tol = max(degeneracy_tol, 8 * dim * np.finfo(float).eps * float(np.max(np.abs(w))))
+    starts = _cluster_starts(w, tol)
+    p = np.add.reduceat(np.abs(comp_d) ** 2, starts)
+    keep = p > DEFAULT_DARK_TOL
+    p = p[keep]
+    energies = np.add.reduceat(w * mult, starts) / np.add.reduceat(mult, starts)
+    amp = np.add.reduceat(comp_d.conj() * comp_in, starts)[keep]
+    return SpectralData(
+        energies=energies[keep],
+        p_detect=p,
+        p_init=np.abs(amp) ** 2 / p,
+        cross_amp=amp,
+        degeneracy_tol=tol,
+        reduced=True,
+        label=label,
+    )
+
+
 def spectral_reduce(model: QuantumModel,
                     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> SpectralData:
     """Diagonalize, cluster degenerate energies, and drop dark clusters.
@@ -245,26 +299,50 @@ def spectral_reduce(model: QuantumModel,
     ``degeneracy_tol`` would split degenerate levels into separate bright
     ones.  The tolerance used is stored in the result.
     """
-    if not 0 < degeneracy_tol < np.inf:
-        raise ValueError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
+    _check_degeneracy_tol(degeneracy_tol)
     w, comp_d, comp_in = _eigenbasis(model)
-    tol = max(degeneracy_tol, 8 * len(w) * np.finfo(float).eps * float(np.max(np.abs(w))))
-    starts = _cluster_starts(w, tol)
-    p = np.add.reduceat(np.abs(comp_d) ** 2, starts)
-    keep = p > DEFAULT_DARK_TOL
-    p = p[keep]
-    sizes = np.diff(starts, append=len(w))
-    energies = np.add.reduceat(w, starts) / sizes
-    amp = np.add.reduceat(comp_d.conj() * comp_in, starts)[keep]
-    return SpectralData(
-        energies=energies[keep],
-        p_detect=p,
-        p_init=np.abs(amp) ** 2 / p,
-        cross_amp=amp,
-        degeneracy_tol=tol,
-        reduced=True,
-        label=model.label,
-    )
+    return _reduce(w, comp_d, comp_in, np.ones(len(w)), len(w), degeneracy_tol, model.label)
+
+
+def ring_spectrum(L: int, gamma: float, x_in: int, x_d: int,
+                  degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> SpectralData:
+    """``spectral_reduce(build_ring(L, gamma, x_in, x_d))`` from the sector
+    even about x_d, of dimension Nr = floor(L/2) + 1, without the L x L H.
+
+    The arguments are checked as ``build_ring`` checks them, with its
+    errors and messages.  One real ``eigh`` of the Nr x Nr Jacobi matrix
+    gives the levels -2 gamma cos(2 pi k / L) in order of k, and p_j =
+    u_j(0)^2.  |x_in> projects onto the sector as the basis vector of
+    k = +-(x_in - x_d) mod L, with weight 1/sqrt 2 off the mirror axis.
+    Clusters weight each level by its multiplicity in the ring and floor
+    the tolerance at 8 L eps max|E|, so every ``degeneracy_tol`` gives the
+    clusters of the full space; the fields agree with it to rounding.
+    """
+    _check_ring(L, gamma, x_in, x_d)
+    _check_degeneracy_tol(degeneracy_tol)
+    nr, even = L // 2 + 1, L % 2 == 0
+    bonds = np.full(nr - 1, -gamma)
+    if L == 2:
+        bonds[0] = -2.0 * gamma     # both bonds of x_d reach the one other site
+    else:
+        bonds[0] *= math.sqrt(2.0)
+        if even:
+            bonds[-1] *= math.sqrt(2.0)
+    h = np.diag(bonds, 1)
+    h += h.T
+    if not even:
+        h[-1, -1] = -gamma          # x_d + (L+1)/2 is the mirror image of x_d - (L-1)/2
+    if not np.isfinite(h).all():
+        raise InvalidModelError("hamiltonian has a non-finite entry")
+    w, u = np.linalg.eigh(h)
+    mult = np.full(nr, 2.0)         # level k pairs with L - k, except k = 0 and L/2
+    mult[0] = 1.0
+    if even:
+        mult[-1] = 1.0
+    k = min((x_in - x_d) % L, (x_d - x_in) % L)
+    comp_in = u[k] if k == 0 or 2 * k == L else u[k] * math.sqrt(0.5)
+    return _reduce(w, u[0], comp_in.astype(complex), mult, L, degeneracy_tol,
+                   f"ring L={L} gamma={gamma} {x_in}->{x_d}")
 
 
 def spectral_full(model: QuantumModel) -> SpectralData:

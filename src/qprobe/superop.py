@@ -32,6 +32,11 @@ S^T = diag(p)^-1 S diag(p), with no second inverse), the condition gate
 (an exact 1-norm, O(Nr^2) from the rank-one-plus-diagonal |S|, times a
 Hager-Higham estimate of the inverse 1-norm) and the zero-mode census
 all share that one solver, the only pair-space operator applied.
+The solver keeps its pair-space arrays and four scratch buffers in one
+block, and the solves, the survival products, the condition estimate and
+``detection_stats`` write their temporaries into the scratch, so a solve
+allocates only the array it returns; the broadcast factors of a rank-one
+term are copied into scratch rather than left to numpy's iterator buffer.
 p_det and the first moments take three solves and the second moments
 two more, which a caller that prints no second moment (a sweep without
 n_sq and t_sq) skips.  The census finds the slowest decay rate, the Perron
@@ -67,14 +72,32 @@ ARNOLDI_KEEP = 10                  # Ritz vectors a thick restart keeps
 ARNOLDI_MAX_RESTARTS = 50         # 6 at most on rings L <= 120, fixed, exp and gamma laws
 ARNOLDI_ROTATE_COLS = 1 << 14      # columns rotated at once: 10 x 16384 complex, 2.6 MB
 PHASE_MERGE_TOL = 1e-12            # |1 - phi_jk| at one eigenphase of U(tau): <= 19 eps, rings L <= 41
+WORK_BUFFERS = 4                   # complex Nr^2 scratch buffers a resolvent solver owns
 
 
-def _survive(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """a_i b_j, as ``np.multiply.outer(a, b)`` computes it, into the complex
+    ``out`` with ``scratch``.  The factors are broadcast by copies and
+    multiplied shape to shape: numpy (2.4) gives a broadcasting ufunc call
+    an iterator buffer of up to 8192 elements, a whole pair array at Nr <=
+    90, and the copies are faster."""
+    np.copyto(out, a[:, None])
+    np.copyto(scratch, b)
+    return np.multiply(out, scratch, out=out)
+
+
+def _survive(p: np.ndarray, x: np.ndarray, out=None, tmp=None, tmp2=None) -> np.ndarray:
     """S X S^T = X - p r^T - (c - s p) p^T for S = I - p 1^T, on an Nr x Nr
-    matrix X with column sums r, row sums c and total s."""
+    complex matrix X with column sums r, row sums c and total s.  With
+    scratch ``tmp`` and ``tmp2`` the result goes to ``out``, which may be
+    x; without, it is a new array from numpy's broadcasting products, the
+    form ``fn_series`` steps with."""
     r = x.sum(axis=0)
     c = x.sum(axis=1)
-    return x - np.outer(p, r) - np.outer(c - r.sum() * p, p)
+    if tmp is None:
+        return x - np.outer(p, r) - np.outer(c - r.sum() * p, p)
+    out = np.subtract(x, _outer(p, r, tmp, tmp2), out=out)
+    return np.subtract(out, _outer(c - r.sum() * p, p, tmp, tmp2), out=out)
 
 
 def _dense_survival(p: np.ndarray) -> np.ndarray:
@@ -286,43 +309,52 @@ def _resolvent_norm1(p: np.ndarray, phi: np.ndarray) -> float:
     return float(cols.max())
 
 
-def _unit(y: np.ndarray) -> np.ndarray:
-    """y / |y| entrywise, 1 where |y| is below the smallest normal number;
-    run under the solver's errstate, which hides the 0/0 it overwrites."""
-    mag = np.abs(y)
-    u = y / mag
-    u[mag <= np.finfo(float).tiny] = 1.0
-    return u
+def _unit(y: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """y / |y| entrywise, in place, 1 where |y| is below the smallest normal
+    number, with |y| in the float array ``mag``; run under the solver's
+    errstate, which hides the 0/0 it overwrites."""
+    np.abs(y, out=mag)
+    np.divide(y, mag, out=y)
+    y[mag <= np.finfo(float).tiny] = 1.0
+    return y
 
 
-def _inverse_norm1_estimate(solve, solve_adjoint, n: int) -> float:
-    """Lower bound on ||A^-1||_1 from solves with A and A^H.
+def _inverse_norm1_estimate(solve, solve_adjoint, mag: np.ndarray) -> float:
+    """Lower bound on ||A^-1||_1 from solves with A and A^H, for A of order
+    len(mag); ``mag`` is float scratch that holds the right-hand sides and
+    the moduli, so only the solves allocate, and one solution is alive at
+    a time.
 
     The Hager-Higham iteration with one column (Higham, ACM TOMS 14, 1988)
     as LAPACK's zlacn2 runs it: at most NORM1_ITMAX solve pairs plus one
     solve with the alternating-sign vector, deterministic.  Unlike zlacn2,
     the estimate never drops below a value already found.
     """
-    y = solve(np.full(n, 1.0 / n))
-    est = np.abs(y).sum()
+    n = len(mag)
+    mag.fill(1.0 / n)
+    y = solve(mag)
+    est = np.abs(y, out=mag).sum()
     if n == 1:
         return float(est)
-    j = int(np.argmax(np.abs(solve_adjoint(_unit(y)))))
+    j = int(np.argmax(np.abs(solve_adjoint(_unit(y, mag)), out=mag)))
     for _ in range(NORM1_ITMAX - 1):
-        e = np.zeros(n)
-        e[j] = 1.0
-        y = solve(e)
-        est_new = np.abs(y).sum()
+        mag.fill(0.0)
+        mag[j] = 1.0
+        y = None                          # one solution alive at a time
+        y = solve(mag)
+        est_new = np.abs(y, out=mag).sum()
         if not est_new > est:
             break
         est = est_new
-        z = np.abs(solve_adjoint(_unit(y)))
+        z = np.abs(solve_adjoint(_unit(y, mag)), out=mag)
         j_last, j = j, int(np.argmax(z))
         if z[j_last] == z[j]:
             break
-    alt = 1.0 + np.arange(n) / (n - 1)
+    y = None
+    alt = np.divide(np.arange(n), n - 1, out=mag)
+    alt += 1.0
     alt[1::2] *= -1.0
-    return float(np.maximum(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
+    return float(np.maximum(est, 2.0 * np.abs(solve(alt), out=mag).sum() / (3 * n)))
 
 
 class _ResolventSolver:
@@ -358,6 +390,18 @@ class _ResolventSolver:
     finite or the bordered system cannot be formed (some phi_jk = 1 off the
     diagonal, or some p_j = 0) or is singular, and then nothing is inverted.
     It holds no reference to the set that caches it, so they form no cycle.
+
+    Every pair-space array of the solver lives in one complex block, made
+    once: 1/(1 - phi), W p_j, W p_k, q, phi o q and WORK_BUFFERS scratch
+    buffers, ``_work``.  ``solve`` and ``solve_adjoint`` write their
+    temporaries into ``_work[0]`` and ``_work[1]``, so each allocates only
+    the array it returns; the condition estimate uses half of ``_work[2]``
+    and ``detection_stats`` all four.  Each buffer takes the result of the
+    ufunc that made the temporary, in the same order, so the numbers are
+    those of the temporaries.  At Nr = 81 a pair array is 105 KB, under
+    glibc's 128 KiB mmap threshold; made and freed a few dozen times a
+    point, such arrays trimmed and refaulted the top of the heap, 348 pages
+    a 3-point sweep at the full-space reduction and 1971 at the sector's.
     """
 
     backend = "structured"
@@ -367,11 +411,19 @@ class _ResolventSolver:
         self._n = n
         self._p = pc = p.astype(complex)          # every product with p is complex
         self.condition = np.inf
+        # every pair-space array in one complex block: 1/(1 - phi), W p_j,
+        # W p_k, q = p (x) p, phi o q, then the scratch buffers, the first of
+        # which holds W until the bordered matrix is formed
+        block = np.empty((5 + WORK_BUFFERS, n, n), dtype=complex)
+        self._inv_gap, self._w_pj, self._w_pk, self._q, self._phi_q = block[:5]
+        self._work = block[5:].reshape(WORK_BUFFERS, n * n)
+        w = block[5]
         with np.errstate(all="ignore"):           # a pole 1 - phi_jk = 0 gives inf
-            self._inv_gap = 1.0 / (1.0 - phi)
+            np.divide(1.0, np.subtract(1.0, phi, out=self._inv_gap), out=self._inv_gap)
             self._inv_gap.ravel()[::n + 1] = 0.0
-            w = phi * self._inv_gap
-            self._w_pj, self._w_pk = w * pc[:, None], w * pc    # W_jk p_j and W_jk p_k
+            np.multiply(phi, self._inv_gap, out=w)
+            np.multiply(w, pc[:, None], out=self._w_pj)     # W_jk p_j
+            np.multiply(w, pc, out=self._w_pk)              # W_jk p_k
             w_p = w @ pc
             self._one_w_p = 1.0 + w_p
             w_re = w.real
@@ -391,14 +443,14 @@ class _ResolventSolver:
             # M^-1 without its border column, which meets the 0 of (h, 0), and
             # without its border row, which no refinement needs; -M for the residual
             self._inv_h, self._inv_r, self._neg_m = inv[:, :-1], inv[:-1], -m
-            self._q = q = np.multiply.outer(p, p)
-            self._phi_q = phi * q
-            est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, n * n)
+            np.multiply(phi, np.multiply.outer(p, p, out=self._q), out=self._phi_q)
+            mag = self._work[2].view(float)[:n * n]
+            est = _inverse_norm1_estimate(self.solve, self.solve_adjoint, mag)
             if np.isfinite(est):
                 self.condition = _resolvent_norm1(p, phi) * est
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n = self._n
+        n, tmp = self._n, self._work[0].reshape(self._n, self._n)
         b = b.reshape(n, n)
         x = b * self._inv_gap                           # Bt, then X in place
         g = b.diagonal() / self._p
@@ -413,15 +465,20 @@ class _ResolventSolver:
         y = y[:-1]
         y += self._inv_r @ res
         r = y.view(complex).ravel()
-        x -= self._w_pj * r
-        x -= (g - r)[:, None] * self._w_pk
+        np.copyto(tmp, r)                               # see _outer
+        x -= np.multiply(self._w_pj, tmp, out=tmp)
+        np.copyto(tmp, (g - r)[:, None])
+        x -= np.multiply(tmp, self._w_pk, out=tmp)
         x.ravel()[::n + 1] = r - np.add.reduce(x, 0)    # x_jj is still 0 here
         return x.ravel()
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        n = self._n
+        """J^H y = b; ``b`` must not be ``_work[0]`` or ``_work[1]``."""
+        n, work = self._n, self._work.reshape(WORK_BUFFERS, self._n, self._n)
         b = b.reshape(n, n)
-        y = _survive(self._p, self.solve(self._phi_q * b.conj()).reshape(n, n))
+        rhs = np.multiply(self._phi_q, np.conjugate(b, out=work[1]), out=work[1])
+        x = self.solve(rhs).reshape(n, n)
+        y = _survive(self._p, x, x, work[0], work[1])
         y /= self._q
         np.conjugate(y, out=y)
         y += b
@@ -472,7 +529,17 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
                                   float(sset.p_detect[j]), j)
 
     total = np.add.reduce                 # .sum() without its Python wrapper
-    src = sset.phase_avg * sset.source_vec
+    n = sset.dim
+    # the solver's scratch: the products' temporary, the source (then S G
+    # S^T), S F1 S^T (then S F1 S^T + source) and the right-hand sides; a
+    # survival product borrows the one of the last three that is free
+    tmp, src, surv, rhs = solver._work
+
+    def survive(x, out, free):
+        return _survive(sset.p_detect, *(a.reshape(n, n) for a in (x, out, tmp, free))).ravel()
+
+    np.multiply(sset.phase_avg, sset.source_vec, out=src)
+    src_norm = np.linalg.norm(src)
     f1 = solver.solve(src)                # geometric sum of the series
     p_det = float(total(f1).real)
     if p_det < PDET_FLOOR:
@@ -481,14 +548,17 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
         raise DegenerateProblemError(
             f"detection probability vanishes: the initial state has no overlap with the bright "
             f"subspace (bright weight {bright_weight:.6g}), so conditional moments are undefined")
-    surv_f1 = sset.survive(f1)
-    residual = np.linalg.norm(src - f1 + sset.phase_avg * surv_f1)
+    surv_f1 = survive(f1, surv, rhs)
+    np.subtract(src, f1, out=rhs)
+    rhs += np.multiply(sset.phase_avg, surv_f1, out=tmp)
+    residual = np.linalg.norm(rhs)
     f2 = solver.solve(f1)                 # n-weighted sum
+    del f1                                # one solution fewer alive, see _ResolventSolver
     f2_sum = total(f2)
     n_mean = float(f2_sum.real) / p_det
     with np.errstate(over="ignore", invalid="ignore"):    # checked below
-        surv_src = surv_f1 + sset.source_vec
-        g = solver.solve(sset.phase_avg_t * surv_src)
+        surv_src = np.add(surv_f1, sset.source_vec, out=surv)
+        g = solver.solve(np.multiply(sset.phase_avg_t, surv_src, out=rhs))
         t_mean = float(total(g).real) / p_det
     moments = {"p_det": p_det, "n_mean": n_mean, "n_sq": None, "t_mean": t_mean,
                "t_sq": None, "n_var": None, "t_var": None}
@@ -496,8 +566,10 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
         f3 = solver.solve(f2)             # enters the n^2-weighted sum
         n_sq = float((2.0 * total(f3) - f2_sum).real) / p_det
         with np.errstate(over="ignore", invalid="ignore"):
-            h = solver.solve(sset.phase_avg_tt * surv_src
-                             + 2.0 * sset.phase_avg_t * sset.survive(g))
+            np.multiply(sset.phase_avg_tt, surv_src, out=rhs)
+            surv_g = survive(g, src, surv)
+            rhs += np.multiply(np.multiply(2.0, sset.phase_avg_t, out=tmp), surv_g, out=tmp)
+            h = solver.solve(rhs)
             t_sq = float(total(h).real) / p_det
         moments.update(n_sq=n_sq, t_sq=t_sq, n_var=n_sq - n_mean * n_mean,
                        t_var=t_sq - t_mean * t_mean)   # float * overflows to inf, ** raises
@@ -511,7 +583,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
         condition=solver.condition,
         reduced_dim=sset.dim,
         backend=solver.backend,
-        residual=float(residual / np.linalg.norm(src)),
+        residual=float(residual / src_norm),
     )
 
 
@@ -610,8 +682,13 @@ def zero_mode_census(sset: SuperoperatorSet) -> ZeroModeCensus:
                               slowest_decay=complex(mags.max()), structural=False, solves=0)
 
     m, solve = n * n, sset._solver.solve
+
+    def op(x):                            # -J^-1 x, negated in place
+        y = solve(x)
+        return np.negative(y, out=y)
+
     try:
-        nu, solves = _dominant_eigenvalues(lambda x: -solve(x), m)
+        nu, solves = _dominant_eigenvalues(op, m)
     except ConvergenceError as exc:
         raise ConvergenceError(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
     ritz = 1.0 + 1.0 / nu

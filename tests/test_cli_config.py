@@ -18,7 +18,7 @@ from qprobe.config import (distribution_from_config, merge_overrides,
                            model_from_config, parse_kv_text, seed_from_config)
 from qprobe.errors import ConfigError, ConvergenceError, IllConditionedError
 from qprobe.intervals import ExponentialInterval, FixedInterval, GammaInterval
-from qprobe.model import build_ring, spectral_reduce
+from qprobe.model import build_ring, ring_spectrum, spectral_reduce
 from qprobe.superop import (build_superops, detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
 
@@ -110,14 +110,15 @@ def test_cli_stats_l24(capsys):
                                                      (24, 12, "shift-invert-arnoldi", 30)])
 def test_cli_stats_reports_census_method_and_solves(capsys, L, x_in, method, solves):
     # Nr = 4 and 13; the two census keys are new, and every other key of
-    # the document keeps its value from the solve and the census
+    # the document keeps its value from the solve and the census of the
+    # ring's sector, which the CLI reduces in
     assert cli.main(["stats", "--L", str(L), "--gamma", "1", "--xin", str(x_in), "--xd", "0",
                      "--dist", "exp", "--mean", "0.6"]) == 0
     doc = json.loads(capsys.readouterr().out)
     diagnostics = doc["diagnostics"]
     assert (diagnostics.pop("census_method"), diagnostics.pop("census_solves")) == (method, solves)
     dist = ExponentialInterval(0.6)
-    sset = build_superops(spectral_reduce(build_ring(L, 1.0, x_in, 0)), dist)
+    sset = build_superops(ring_spectrum(L, 1.0, x_in, 0), dist)
     stats = detection_stats(sset, dist)
     census = zero_mode_census(sset)
     assert diagnostics == {"backend": "structured", "residual": stats.residual, "dim": L,
@@ -128,6 +129,41 @@ def test_cli_stats_reports_census_method_and_solves(capsys, L, x_in, method, sol
         "slowest_decay_re": census.slowest_decay.real,
         "slowest_decay_im": census.slowest_decay.imag, "structural": method != "dense-eigvals"}
     assert list(doc) == ["config", "reduced_dim", "stats", "zero_modes", "diagnostics"]
+
+
+# the ring CLI reduces in the sector even about the detector; against the
+# full-space API it moves by rounding times the condition (measured at most
+# 6.1e-14 relative on these rings, 2e-12 at L = 160, cond ~1e3)
+SECTOR_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("L, x_in", [(24, 5), (40, 13)])
+@pytest.mark.parametrize("flags, dist", [
+    (["--dist", "fixed", "--tau", "0.7"], FixedInterval(0.7)),
+    (["--dist", "exp", "--mean", "0.6"], ExponentialInterval(0.6)),
+    (["--dist", "gamma", "--alpha", "5", "--mean", "0.6"], GammaInterval(5.0, 0.6)),
+])
+def test_cli_ring_output_matches_the_full_space_api(capsys, L, x_in, flags, dist):
+    ring = ["--L", str(L), "--gamma", "1", "--xin", str(x_in), "--xd", "0"]
+    sset = build_superops(spectral_reduce(build_ring(L, 1.0, x_in, 0)), dist)
+    stats, census = detection_stats(sset, dist), zero_mode_census(sset)
+    assert cli.main(["stats", *ring, *flags]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reduced_dim"] == sset.dim and doc["diagnostics"]["dim"] == L
+    for key in ("p_det", "n_mean", "n_sq", "t_mean", "t_sq", "n_var", "t_var", "condition"):
+        assert doc["stats"][key] == pytest.approx(getattr(stats, key), rel=SECTOR_RTOL, abs=0)
+    assert doc["zero_modes"]["slowest_decay_abs"] == pytest.approx(
+        abs(census.slowest_decay), rel=SECTOR_RTOL, abs=0)
+    assert cli.main(["fn", *ring, *flags, "--nmax", "60"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    expect = np.maximum(fn_series(sset, 60), 0.0)
+    assert np.abs([float(r[1]) for r in rows] - expect).max() <= SECTOR_RTOL * expect.max()
+    grid = f"0.5,{dist.mean!r}"     # the last row is the stats point
+    assert cli.main(["sweep", *ring, *flags, "--axis", "mean_tau", "--grid", grid,
+                     "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][-1]
+    for key in ("p_det", "n_mean", "t_mean", "n_sq", "t_sq"):
+        assert row[key] == pytest.approx(getattr(stats, key), rel=SECTOR_RTOL, abs=0)
 
 
 @pytest.mark.parametrize("flags, dist", [
@@ -144,8 +180,7 @@ def test_cli_stats_diagnostics_report_dim_and_identity_residual(capsys, flags, d
                          "census_method", "census_solves"}
     assert diag["dim"] == 9 and doc["reduced_dim"] == 5
     assert diag["identity_residual"] <= 1e-8 * max(1.0, doc["stats"]["t_sq"])
-    report = universal_identity_check(
-        build_superops(spectral_reduce(build_ring(9, 1.0, 2, 0)), dist), dist)
+    report = universal_identity_check(build_superops(ring_spectrum(9, 1.0, 2, 0), dist), dist)
     assert diag["identity_residual"] == report.t_residual
 
 
@@ -257,8 +292,9 @@ EXCEPTIONAL_GRID = [1.0, 1.6526270926756665, 2.0]     # the middle point is ill-
 
 
 def _sweep_reference():
-    """Per point: the stats (None where ill-conditioned) and the condition."""
-    sd = spectral_reduce(build_ring(7, 1.0, 1, 0))
+    """Per point: the stats (None where ill-conditioned) and the condition,
+    from the ring's sector as the CLI reduces it."""
+    sd = ring_spectrum(7, 1.0, 1, 0)
     ref = []
     for tau in EXCEPTIONAL_GRID:
         dist = FixedInterval(tau)
@@ -683,11 +719,12 @@ def no_compute(monkeypatch):
 
 @pytest.fixture
 def no_solve(monkeypatch, no_compute):
-    """``no_compute``, and the model's eigendecomposition fails too: for the
-    inputs checked before any solve."""
+    """``no_compute``, and the model's eigendecomposition, of a ring's sector
+    or of a full space, fails too: for the inputs checked before any solve."""
     def reached(*args, **kwargs):
-        raise AssertionError("spectral_reduce reached before the inputs were checked")
-    monkeypatch.setattr(cli, "spectral_reduce", reached)
+        raise AssertionError("a spectral reduction reached before the inputs were checked")
+    for name in ("spectral_reduce", "ring_spectrum"):
+        monkeypatch.setattr(cli, name, reached)
 
 
 @pytest.mark.parametrize("argv", [

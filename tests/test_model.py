@@ -15,8 +15,9 @@ from qprobe.closedform import ring_nbar_exp
 from qprobe.config import model_from_config
 from qprobe.errors import InvalidModelError
 from qprobe.intervals import ExponentialInterval, GammaInterval
-from qprobe.model import (QuantumModel, _cluster_starts, basis_state, build_dense, build_ring,
-                          build_two_level, spectral_full, spectral_reduce)
+from qprobe.model import (DEFAULT_DEGENERACY_TOL, QuantumModel, _cluster_starts, basis_state,
+                          build_dense, build_ring, build_two_level, ring_spectrum,
+                          spectral_full, spectral_reduce)
 from qprobe.superop import build_superops, detection_stats
 from qprobe.trajectory import run_bernoulli, run_per_realization
 
@@ -406,19 +407,26 @@ def test_monte_carlo_records_do_not_see_the_real_hamiltonian(mode):
     assert a.summary() == b.summary()
 
 
-@pytest.mark.parametrize("L, gamma, x_in, x_d", [
-    (2, 1.0, 1, 0), (7, 1.0, 3, 0), (64, 0.8, 17, 5), (65, 2.5, 0, 40),
-    (1001, 1.0, 300, 2), (3000, 1.3, 1717, 9),
+ANALYTIC_RINGS = [(2, 1.0, 1, 0), (7, 1.0, 3, 0), (64, 0.8, 17, 5), (65, 2.5, 0, 40),
+                  (1001, 1.0, 300, 2), (3000, 1.3, 1717, 9)]
+
+
+@pytest.mark.parametrize("L, gamma, x_in, x_d, sector", [
+    *(pytest.param(*case, False, id="-".join(map(str, case))) for case in ANALYTIC_RINGS),
+    *(pytest.param(*case, True, id="-".join(map(str, case)) + "-sector")
+      for case in ANALYTIC_RINGS),
 ])
-def test_spectral_reduce_matches_the_analytic_ring(L, gamma, x_in, x_d):
+def test_spectral_reduce_matches_the_analytic_ring(L, gamma, x_in, x_d, sector):
     # levels -2 gamma cos(2 pi k / L), k = 0 .. L/2, each the cluster {k, L - k}:
     # p_k = 2/L (1/L at k = 0 and L/2) and cross amplitude 2 cos(2 pi k (x_in -
     # x_d) / L) / L (half that at k = 0 and L/2).  eigh resolves a level to a
     # few eps max|E|, and a bright state to eps max|E| / gap against its
     # nearest level (Davis-Kahan): gap = 2 gamma (1 - cos(2 pi / L)) at k = 0.
     # Measured at L = 3000: energies within 14 eps max|E|, p and the
-    # amplitudes within 1.6 eps max|E| / gap of 1/L
-    sd = spectral_reduce(build_ring(L, gamma, x_in, x_d))
+    # amplitudes within 1.6 eps max|E| / gap of 1/L.  The same bounds hold
+    # for the ring's sector even about x_d, which ``ring_spectrum`` solves
+    sd = (ring_spectrum(L, gamma, x_in, x_d) if sector
+          else spectral_reduce(build_ring(L, gamma, x_in, x_d)))
     k = np.arange(L // 2 + 1)
     ends = (k == 0) | (2 * k == L)
     energies = -2 * gamma * np.cos(2 * np.pi * k / L)
@@ -431,3 +439,61 @@ def test_spectral_reduce_matches_the_analytic_ring(L, gamma, x_in, x_d):
     assert np.abs(sd.p_detect - p).max() * L <= 10 * scale / gap
     assert np.abs(sd.cross_amp - amp).max() * L <= 10 * scale / gap
     assert np.abs(sd.p_init - amp**2 / p).max() * L <= 10 * scale / gap
+
+
+# ring_spectrum against spectral_reduce(build_ring(...)), both at gamma = 1,
+# so max|E| <= 2: measured over every case below at most 10 eps on the
+# energies and 18.4 eps on p, the cross amplitudes and p_init (3.1e-15 and
+# 2.8e-14 at L = 80 .. 2000, not run here)
+SECTOR_ENERGY_ATOL = 32 * np.finfo(float).eps
+SECTOR_WEIGHT_ATOL = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("L", range(2, 65))
+def test_ring_spectrum_matches_the_full_space_reduction(L):
+    # every start site, the detector at both ends of the site range, and the
+    # default, a fine and a coarse tolerance: the same clusters, the same
+    # tolerance and label, and the fields to rounding
+    for x_d in (0, L - 1):
+        for x_in in range(L):
+            model = build_ring(L, 1.0, x_in, x_d)
+            for tol in (DEFAULT_DEGENERACY_TOL, 1e-3, 0.5):
+                full, sector = spectral_reduce(model, tol), ring_spectrum(L, 1.0, x_in, x_d, tol)
+                assert sector.reduced_dim == full.reduced_dim
+                assert sector.degeneracy_tol == full.degeneracy_tol
+                assert sector.label == full.label and sector.reduced
+                assert sector.cross_amp.dtype == full.cross_amp.dtype
+                assert np.abs(sector.energies - full.energies).max() <= SECTOR_ENERGY_ATOL
+                for name in ("p_detect", "cross_amp", "p_init"):
+                    diff = np.abs(getattr(sector, name) - getattr(full, name)).max()
+                    assert diff <= SECTOR_WEIGHT_ATOL, (x_d, x_in, tol, name)
+
+
+@pytest.mark.parametrize("args", [
+    (1, 1.0, 0, 0), (0, 1.0, 0, 0), (8193, 1.0, 1, 0), (10**6, 1.0, 1, 0),
+    (5, 0.0, 0, 0), (5, -1.0, 0, 0), (5, np.nan, 0, 0), (5, np.inf, 0, 0),
+    (5, 1.0, 5, 0), (5, 1.0, -1, 0), (5, 1.0, 0, 5), (5, 1.0, 0, -1),
+    (5, 1.0, 7, -2),
+])
+def test_ring_spectrum_rejects_what_build_ring_rejects(args):
+    with pytest.raises(InvalidModelError) as full:
+        build_ring(*args)
+    with pytest.raises(InvalidModelError) as sector:
+        ring_spectrum(*args)
+    assert str(sector.value) == str(full.value)
+
+
+def test_ring_spectrum_refuses_the_dense_budget_before_allocating(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    for name in ("zeros", "full", "diag", "empty"):
+        monkeypatch.setattr(np, name, reached)
+    with pytest.raises(InvalidModelError, match="L=8193 sites"):
+        ring_spectrum(8193, 1.0, 1, 0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+def test_ring_spectrum_rejects_bad_degeneracy_tol(tol):
+    with pytest.raises(ValueError, match="degeneracy_tol"):
+        ring_spectrum(5, 1.0, 1, 0, degeneracy_tol=tol)

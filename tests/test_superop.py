@@ -20,7 +20,7 @@ from qprobe.errors import (ConvergenceError, DegenerateProblemError, DenseSizeEr
 from qprobe.intervals import (ExponentialInterval, FixedInterval, GammaInterval,
                               IntervalDistribution)
 from qprobe.model import (SpectralData, build_dense, build_ring, build_two_level,
-                          spectral_full, spectral_reduce)
+                          ring_spectrum, spectral_full, spectral_reduce)
 from qprobe.superop import (build_superops, detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
 from qprobe.verify import dense_reference_stats, run_verify, stroboscopic_fn_direct
@@ -333,6 +333,35 @@ def test_zero_mode_census_holds_no_nr4_array():
     tracemalloc.stop()
     assert census.structural
     assert peak < 64 * 16 * sset.dim**2
+
+
+def test_pair_space_solves_allocate_only_their_result(monkeypatch):
+    # at Nr = 81 a pair array is 16 Nr^2 = 105 KB, under glibc's 128 KiB
+    # mmap threshold; the solver's scratch holds every temporary, so after a
+    # first call a solve, an adjoint solve and an Arnoldi operator call each
+    # allocate the array they return and O(Nr) vectors (3.0, 4.0 and 4.0
+    # pair arrays at the parent)
+    sset = build_superops(ring_spectrum(160, 1.0, 33, 0), ExponentialInterval(0.6))
+    assert sset.dim == 81
+    ops, arnoldi = [], superop._dominant_eigenvalues
+
+    def recording(op, m):
+        ops.append(op)
+        return arnoldi(op, m)
+
+    monkeypatch.setattr(superop, "_dominant_eigenvalues", recording)
+    zero_mode_census(sset)
+    b = sset.phase_avg * sset.source_vec
+    for call in (sset._solver.solve, sset._solver.solve_adjoint, ops[0]):
+        call(b)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call(b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 81**2, call
 
 
 def test_zero_mode_census_falls_back_to_dense_when_solve_is_singular():
