@@ -162,8 +162,7 @@ def cmd_stats(args) -> int:
     diagnostics = {key: moments.pop(key) for key in ("backend", "residual")}
     diagnostics["dim"] = dim
     diagnostics["identity_residual"] = abs(stats.t_mean - dist.mean * stats.n_mean)
-    diagnostics["census_method"] = ("shift-invert-arnoldi" if census.structural
-                                    else "dense-eigvals")
+    diagnostics["census_method"] = "shift-invert-arnoldi"
     diagnostics["census_solves"] = census.solves
     doc = {
         "config": cfg,

@@ -41,9 +41,9 @@ p_det and the first moments take three solves and the second moments
 two more, which a caller that prints no second moment (a sweep without
 n_sq and t_sq) skips.  The census finds the slowest decay rate, the Perron
 root of the transfer map and its eigenvalue nearest 1, as 1 + 1/nu for
-the dominant eigenvalue nu of -J^-1.  The Nr^2 x Nr^2 matrices are formed
-only for the census of small sets (Nr <= 12) and the dense test oracles,
-and never above a 1 GiB budget.  At an exceptional fixed period,
+the dominant eigenvalue nu of -J^-1, at every Nr.  No Nr^2 x Nr^2 matrix
+is formed here; the dense builders are ``verify``'s oracles.  At an
+exceptional fixed period,
 levels sharing an eigenphase of U(tau) are merged, so the same solve
 works in the eigenspaces of U(tau).
 """
@@ -56,15 +56,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateProblemError, DenseSizeError,
-                     IllConditionedError, MomentOverflowError)
+from .errors import (ConvergenceError, DegenerateProblemError, IllConditionedError,
+                     MomentOverflowError)
 from .intervals import FixedInterval, IntervalDistribution
-from .model import DENSE_MAX_BYTES, PDET_FLOOR, SpectralData
+from .model import PDET_FLOOR, SpectralData
 
 DEFAULT_COND_LIMIT = 1e12
-DEFAULT_ZERO_TOL = 1e-8
 EXCEPTIONAL_COND_SCALE = 1e4
-DENSE_CENSUS_MAX_DIM = 12          # dense eigvals up to a 144^2 transfer matrix
 NORM1_ITMAX = 5                    # zlacn2's ITMAX: solve pairs of the 1-norm estimate
 ARNOLDI_NEV = 3                    # Ritz values checked, so a peripheral tie beside rho shows
 ARNOLDI_NCV = 20                   # basis vectors, ARPACK's default at 3 eigenvalues
@@ -100,12 +98,6 @@ def _survive(p: np.ndarray, x: np.ndarray, out=None, tmp=None, tmp2=None) -> np.
     return np.subtract(out, _outer(c - r.sum() * p, p, tmp, tmp2), out=out)
 
 
-def _dense_survival(p: np.ndarray) -> np.ndarray:
-    """S = I - p 1^T as a dense Nr x Nr matrix."""
-    n = len(p)
-    return np.eye(n) - np.outer(p, np.ones(n))
-
-
 @dataclass(frozen=True)
 class SuperoperatorSet:
     """Superoperator ingredients for one (model, interval density) pair.
@@ -118,11 +110,9 @@ class SuperoperatorSet:
 
     Only these O(Nr^2) arrays are stored, plus the structured resolvent
     solver, built on first use and shared by every later solve on the
-    set.  ``survive`` applies S (x) S in O(Nr^2); the dense Nr^2 x Nr^2
-    matrices ``proj_kron`` (S (x) S), ``transfer`` (diag(phase_avg) @
-    proj_kron) and ``resolvent`` (I - transfer) are built afresh on every
-    access, for the small census and the dense test oracles that need
-    them, and refused with DenseSizeError above DENSE_MAX_BYTES.
+    set.  ``survive`` applies S (x) S in O(Nr^2).  The dense Nr^2 x Nr^2
+    matrices S (x) S, the transfer matrix and the resolvent are built
+    from a set only by ``verify``'s oracles.
     """
 
     dim: int
@@ -149,39 +139,6 @@ class SuperoperatorSet:
     @cached_property
     def _solver(self) -> _ResolventSolver:
         return _ResolventSolver(self.p_detect, self.phase_avg.reshape(self.dim, self.dim))
-
-    def _check_dense_budget(self) -> None:
-        """Raise DenseSizeError when a complex Nr^2 x Nr^2 array would take
-        more than DENSE_MAX_BYTES; called before allocating it."""
-        nbytes = 16 * self.dim**4
-        if nbytes > DENSE_MAX_BYTES:
-            raise DenseSizeError(
-                f"a dense Nr^2 x Nr^2 array at Nr={self.dim} needs {nbytes} bytes, "
-                f"over the {DENSE_MAX_BYTES}-byte budget")
-
-    @property
-    def proj_kron(self) -> np.ndarray:
-        self._check_dense_budget()
-        surv = _dense_survival(self.p_detect)
-        return np.kron(surv, surv)
-
-    @property
-    def transfer(self) -> np.ndarray:
-        """diag(phase_avg) @ proj_kron in Fortran order: the transpose is
-        built complex and scaled in place, so no other Nr^4 array is made."""
-        self._check_dense_budget()
-        surv_t = np.ascontiguousarray(_dense_survival(self.p_detect).T, dtype=complex)
-        t = np.kron(surv_t, surv_t)
-        t *= self.phase_avg
-        return t.T
-
-    @property
-    def resolvent(self) -> np.ndarray:
-        """I - transfer in Fortran order, made in place from ``transfer``."""
-        j = self.transfer
-        np.negative(j, out=j)
-        j[np.diag_indices_from(j)] += 1.0
-        return j
 
 
 @dataclass(frozen=True)
@@ -216,10 +173,9 @@ class DetectionStatistics:
 class ZeroModeCensus:
     """Eigenvalue census of the transfer matrix.
 
-    ``slowest_decay`` is the Perron root (real, im = 0); ``structural``
-    is True when ``n_zero`` is the structural count 2 Nr - 1 of the
-    shift-invert Arnoldi branch rather than a count of dense eigenvalues;
-    ``solves`` counts the structured solves Arnoldi took (0 when dense).
+    ``slowest_decay`` is the Perron root (real, im = 0); ``n_zero`` is the
+    structural count 2 Nr - 1, which ``structural`` (always True) states;
+    ``solves`` counts the structured solves Arnoldi took.
     """
 
     n_zero: int
@@ -503,6 +459,14 @@ def _exceptional_pairs(sset: SuperoperatorSet):
     return [(int(a), int(b), float(mag[a, b])) for a, b in zip(j[order], k[order])]
 
 
+def _ill_conditioned(sset: SuperoperatorSet) -> IllConditionedError:
+    """The error a gated solve raises: the set's condition estimate, its
+    exceptional pairs and its smallest detection weight."""
+    j = int(np.argmin(sset.p_detect))
+    return IllConditionedError(sset._solver.condition, _exceptional_pairs(sset),
+                               float(sset.p_detect[j]), j)
+
+
 def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
                     second_moments: bool = True) -> DetectionStatistics:
     """Total detection probability and conditional attempt/time moments.
@@ -524,9 +488,7 @@ def detection_stats(sset: SuperoperatorSet, dist: IntervalDistribution, *,
     """
     solver = sset._solver
     if solver.condition > DEFAULT_COND_LIMIT:
-        j = int(np.argmin(sset.p_detect))
-        raise IllConditionedError(solver.condition, _exceptional_pairs(sset),
-                                  float(sset.p_detect[j]), j)
+        raise _ill_conditioned(sset)
 
     total = np.add.reduce                 # .sum() without its Python wrapper
     n = sset.dim
@@ -612,11 +574,14 @@ def _dominant_eigenvalues(op, m: int) -> tuple[np.ndarray, int]:
     basis is rotated onto a QR basis Q of them in blocks of columns, and H
     becomes Q^H H Q bordered by the residual's row.  A step whose new
     direction is rounding noise (an invariant subspace) continues from a
-    fixed random vector.  Raises ConvergenceError after
-    ARNOLDI_MAX_RESTARTS restarts.
+    fixed random vector.  On a space of m <= ARNOLDI_NCV dimensions the
+    basis spans all of C^m after m steps, the sweep ends there with a zero
+    residual, and the Ritz values are the map's eigenvalues.  Raises
+    ConvergenceError after ARNOLDI_MAX_RESTARTS restarts.
     """
     eps = np.finfo(float).eps
-    ncv, keep = ARNOLDI_NCV, ARNOLDI_KEEP
+    ncv = min(ARNOLDI_NCV, m)
+    keep = min(ARNOLDI_KEEP, ncv - 1)
     v = np.empty((ncv + 1, m), dtype=complex)
     h = np.zeros((ncv + 1, ncv), dtype=complex)
     v[0] = 1.0 / math.sqrt(m)
@@ -627,6 +592,9 @@ def _dominant_eigenvalues(op, m: int) -> tuple[np.ndarray, int]:
             calls += 1
             basis, norm_w = v[:j + 1], np.linalg.norm(w)
             h[:j + 1, j] = _orthogonalize(basis, w)
+            if j + 1 == m:                # w is rounding: no direction is left
+                h[j + 1, j] = 0.0
+                break
             h[j + 1, j] = beta = np.linalg.norm(w)
             if beta <= eps * norm_w:
                 w = np.random.default_rng(j).standard_normal(m).astype(complex)
@@ -659,43 +627,47 @@ def zero_mode_census(sset: SuperoperatorSet) -> ZeroModeCensus:
     diag(sqrt p), to a completely positive map, so rho is itself an
     eigenvalue (Evans and Hoegh-Krohn, J. London Math. Soc. 17, 1978);
     since |1 - lam| >= 1 - |lam| >= 1 - rho, it is also the eigenvalue
-    nearest 1.  ``slowest_decay`` is rho, real, on both branches.
+    nearest 1.  ``slowest_decay`` is rho, real.
 
-    Up to ``DENSE_CENSUS_MAX_DIM``, or when the structured solve cannot be
-    formed, dense ``eigvals`` of T counts the eigenvalues with |lam| <
-    DEFAULT_ZERO_TOL = 1e-8 as zero modes.  Above it, thick-restart
-    Arnoldi in numpy (``_dominant_eigenvalues``, with ARPACK's defaults) on
-    (T - I)^-1 = -J^-1, the O(Nr^2) structured solve, finds its three
-    dominant eigenvalues nu, and lam = 1 + 1/nu (shift-invert at 1), so
-    every BLAS call runs on numpy's one thread pool; ``n_zero`` is the
-    structural 2 Nr - 1: the nullity of T, since rank(S (x) S) = (Nr - 1)^2
-    and no interval law gives phi = 0.  Raises ConvergenceError when
-    Arnoldi does not converge within ARNOLDI_MAX_RESTARTS restarts or its
-    Ritz value nearest 1 is not a real eigenvalue of largest modulus among
-    those returned.
+    Thick-restart Arnoldi in numpy (``_dominant_eigenvalues``, with
+    ARPACK's defaults) on (T - I)^-1 = -J^-1, the O(Nr^2) structured solve,
+    finds its three dominant eigenvalues nu, and lam = 1 + 1/nu
+    (shift-invert at 1), so every BLAS call runs on numpy's one thread
+    pool; at Nr <= 4 the basis spans the whole pair space and the Ritz
+    values are exact.  ``n_zero`` is the structural 2 Nr - 1: the nullity
+    of T, since rank(S (x) S) = (Nr - 1)^2 and no interval law gives phi =
+    0.  Raises ConvergenceError when Arnoldi does not converge within
+    ARNOLDI_MAX_RESTARTS restarts or its Ritz value nearest 1 is not a
+    real eigenvalue of largest modulus among those returned.  Raises
+    IllConditionedError, as ``detection_stats`` does, when the structured
+    solve cannot be formed (``condition`` inf), and in place of that
+    ConvergenceError past the gate DEFAULT_COND_LIMIT: there the solves'
+    error spoils the Ritz values other than rho (on ring 7 within 1e-10
+    of an exceptional fixed period, cond ~5e19), not the iteration.
     """
     n = sset.dim
-    if n <= DENSE_CENSUS_MAX_DIM or not np.isfinite(sset._solver.condition):
-        mags = np.abs(np.linalg.eigvals(sset.transfer))
-        n_zero = int(np.sum(mags < DEFAULT_ZERO_TOL))
-        return ZeroModeCensus(n_zero=n_zero, n_nonzero=mags.size - n_zero,
-                              slowest_decay=complex(mags.max()), structural=False, solves=0)
-
+    if not np.isfinite(sset._solver.condition):
+        raise _ill_conditioned(sset)
     m, solve = n * n, sset._solver.solve
 
     def op(x):                            # -J^-1 x, negated in place
         y = solve(x)
         return np.negative(y, out=y)
 
+    def failure(message):
+        if sset._solver.condition > DEFAULT_COND_LIMIT:
+            return _ill_conditioned(sset)
+        return ConvergenceError(message)
+
     try:
         nu, solves = _dominant_eigenvalues(op, m)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
+        raise failure(f"shift-invert Arnoldi did not converge at Nr={n}") from exc
     ritz = 1.0 + 1.0 / nu
     rho = ritz[np.argmin(np.abs(ritz - 1.0))]
     # a peripheral eigenvalue rho e^(i theta) may tie |rho| up to roundoff
     if not (abs(rho.imag) <= 1e-8 * abs(rho) and np.abs(ritz).max() <= abs(rho) * (1 + 1e-10)):
-        raise ConvergenceError(
+        raise failure(
             f"shift-invert Arnoldi at Nr={n} gave Ritz values {ritz.tolist()}: the one "
             f"nearest 1 is not a real eigenvalue of largest modulus")
     n_zero = 2 * n - 1

@@ -5,6 +5,11 @@ superoperator machinery, closed forms, brute-force propagation, Monte
 Carlo) and raises AssertionError on disagreement.  The quick level runs
 in seconds; the full level adds the large cross-check grids and the
 statistical Monte Carlo comparisons.
+
+The dense Nr^2 x Nr^2 matrices of a superoperator set (S (x) S, the
+transfer matrix and the resolvent) are built here and nowhere in the
+program: they are the slow-path oracles of the structured solve and of
+the census, and are refused above DENSE_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import time
 import numpy as np
 
 from .closedform import ring_nbar_exp, ring_nsq_exp, ring_tsq_exp, tls_stats
-from .errors import QprobeError
+from .errors import DenseSizeError, QprobeError
 from .intervals import ExponentialInterval, FixedInterval, GammaInterval
-from .model import QuantumModel, build_ring, build_two_level, spectral_reduce
+from .model import DENSE_MAX_BYTES, QuantumModel, build_ring, build_two_level, spectral_reduce
 from .superop import (SuperoperatorSet, build_superops, detection_stats, fn_series,
                       universal_identity_check, zero_mode_census)
 from .trajectory import run_bernoulli, run_per_realization
@@ -43,6 +48,48 @@ def stroboscopic_fn_direct(model: QuantumModel, tau0: float, n_max: int) -> np.n
     return out
 
 
+def _check_dense_budget(sset: SuperoperatorSet) -> None:
+    """Raise DenseSizeError when a complex Nr^2 x Nr^2 array would take
+    more than DENSE_MAX_BYTES; called before allocating it."""
+    nbytes = 16 * sset.dim**4
+    if nbytes > DENSE_MAX_BYTES:
+        raise DenseSizeError(
+            f"a dense Nr^2 x Nr^2 array at Nr={sset.dim} needs {nbytes} bytes, "
+            f"over the {DENSE_MAX_BYTES}-byte budget")
+
+
+def _dense_survival(p: np.ndarray) -> np.ndarray:
+    """S = I - p 1^T as a dense Nr x Nr matrix."""
+    n = len(p)
+    return np.eye(n) - np.outer(p, np.ones(n))
+
+
+def proj_kron(sset: SuperoperatorSet) -> np.ndarray:
+    """S (x) S as a dense Nr^2 x Nr^2 matrix, the map ``sset.survive`` applies."""
+    _check_dense_budget(sset)
+    surv = _dense_survival(sset.p_detect)
+    return np.kron(surv, surv)
+
+
+def transfer(sset: SuperoperatorSet) -> np.ndarray:
+    """The transfer matrix T = diag(phase_avg) @ (S (x) S) in Fortran order:
+    the transpose is built complex and scaled in place, so no other Nr^4
+    array is made."""
+    _check_dense_budget(sset)
+    surv_t = np.ascontiguousarray(_dense_survival(sset.p_detect).T, dtype=complex)
+    t = np.kron(surv_t, surv_t)
+    t *= sset.phase_avg
+    return t.T
+
+
+def resolvent(sset: SuperoperatorSet) -> np.ndarray:
+    """The resolvent J = I - T in Fortran order, made in place from ``transfer``."""
+    j = transfer(sset)
+    np.negative(j, out=j)
+    j[np.diag_indices_from(j)] += 1.0
+    return j
+
+
 def dense_reference_stats(sset: SuperoperatorSet) -> dict:
     """The moments of ``detection_stats`` by dense linear algebra.
 
@@ -50,7 +97,7 @@ def dense_reference_stats(sset: SuperoperatorSet) -> dict:
     so it costs O(Nr^6) time and O(Nr^4) memory; ``condition`` is the
     exact cond_1(J).  The slow-path oracle for the structured solve.
     """
-    j, k = sset.resolvent, sset.proj_kron
+    j, k = resolvent(sset), proj_kron(sset)
     solve = functools.partial(np.linalg.solve, j)
     src = sset.source_vec
     f1 = solve(sset.phase_avg * src)
@@ -105,25 +152,22 @@ def _check_universal_identities():
 
 
 def _check_zero_modes():
-    dist = ExponentialInterval(0.6)
-    for model in (build_two_level(1.0), build_ring(7, 1.0, 1, 0), build_ring(8, 1.0, 0, 0)):
-        sd = spectral_reduce(model)
-        census = zero_mode_census(build_superops(sd, dist))
-        n = sd.reduced_dim
-        assert census.n_zero >= 2 * n - 1, f"{model.label}: {census}"
-        assert census.n_nonzero <= (n - 1) ** 2, f"{model.label}: {census}"
     # the shift-invert Perron root and structural count against dense eigvals
-    sd = spectral_reduce(build_ring(40, 1.0, 20, 0))
-    for dist in (FixedInterval(0.6), ExponentialInterval(0.6)):
-        sset = build_superops(sd, dist)
+    cases = [(build_two_level(1.0), ExponentialInterval(0.6)),
+             (build_ring(7, 1.0, 1, 0), ExponentialInterval(0.6)),
+             (build_ring(8, 1.0, 0, 0), ExponentialInterval(0.6)),
+             (build_ring(40, 1.0, 20, 0), FixedInterval(0.6)),
+             (build_ring(40, 1.0, 20, 0), ExponentialInterval(0.6))]
+    for model, dist in cases:
+        sset = build_superops(spectral_reduce(model), dist)
         census = zero_mode_census(sset)
-        mags = np.abs(np.linalg.eigvals(sset.transfer))
+        mags = np.abs(np.linalg.eigvals(transfer(sset)))
         rho = mags.max()
         assert census.structural and abs(census.slowest_decay - rho) <= 1e-12, (
-            f"ring L=40 / {dist}: {census} vs dense max|lambda| = {rho}")
+            f"{model.label} / {dist}: {census} vs dense max|lambda| = {rho}")
         n_zero = int(np.sum(mags < 1e-8))
         assert census.n_zero == n_zero, (
-            f"ring L=40 / {dist}: {census} vs dense count {n_zero}")
+            f"{model.label} / {dist}: {census} vs dense count {n_zero}")
 
 
 def _check_structured_vs_dense():
@@ -142,7 +186,7 @@ def _check_structured_vs_dense():
                 f"{model.label} / {dist}: condition {st.condition} vs cond_1 {cond}")
             # the adjoint solve rides on the forward factor; check it against J^H
             b = np.exp(1j * np.arange(sset.dim**2))
-            y = np.linalg.solve(sset.resolvent.conj().T, b)
+            y = np.linalg.solve(resolvent(sset).conj().T, b)
             err = np.linalg.norm(sset._solver.solve_adjoint(b) - y) / np.linalg.norm(y)
             assert err <= 1e-10, f"{model.label} / {dist}: adjoint solve error {err}"
 

@@ -98,7 +98,7 @@ def test_cli_stats_l24(capsys):
     assert doc["stats"]["p_det"] == pytest.approx(1.0, abs=1e-9)
     assert doc["config"]["dist"] == "exp"
     assert doc["zero_modes"]["n_zero"] >= 25
-    assert doc["zero_modes"]["structural"] is True          # Nr = 13 > 12
+    assert doc["zero_modes"]["structural"] is True
     assert doc["zero_modes"]["slowest_decay_im"] == 0.0
     assert set(doc["stats"]) == {"p_det", "n_mean", "n_sq", "t_mean", "t_sq", "n_var",
                                  "t_var", "condition", "reduced_dim"}
@@ -106,12 +106,13 @@ def test_cli_stats_l24(capsys):
     assert 0 <= doc["diagnostics"]["residual"] < 1e-13
 
 
-@pytest.mark.parametrize("L, x_in, method, solves", [(7, 1, "dense-eigvals", 0),
+@pytest.mark.parametrize("L, x_in, method, solves", [(7, 1, "shift-invert-arnoldi", 16),
                                                      (24, 12, "shift-invert-arnoldi", 30)])
 def test_cli_stats_reports_census_method_and_solves(capsys, L, x_in, method, solves):
-    # Nr = 4 and 13; the two census keys are new, and every other key of
-    # the document keeps its value from the solve and the census of the
-    # ring's sector, which the CLI reduces in
+    # Nr = 4 and 13: at Nr = 4 Arnoldi's basis spans the 16-dimensional
+    # pair space in one sweep.  Every other key of the document keeps its
+    # value from the solve and the census of the ring's sector, which the
+    # CLI reduces in
     assert cli.main(["stats", "--L", str(L), "--gamma", "1", "--xin", str(x_in), "--xd", "0",
                      "--dist", "exp", "--mean", "0.6"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -127,7 +128,7 @@ def test_cli_stats_reports_census_method_and_solves(capsys, L, x_in, method, sol
         "n_zero": census.n_zero, "n_nonzero": census.n_nonzero,
         "slowest_decay_abs": abs(census.slowest_decay),
         "slowest_decay_re": census.slowest_decay.real,
-        "slowest_decay_im": census.slowest_decay.imag, "structural": method != "dense-eigvals"}
+        "slowest_decay_im": census.slowest_decay.imag, "structural": True}
     assert list(doc) == ["config", "reduced_dim", "stats", "zero_modes", "diagnostics"]
 
 
@@ -331,6 +332,35 @@ def test_cli_sweep_json_singular_point_condition_is_null(capsys):
     assert rows[1]["status"] == "ok" and rows[1]["condition"] > 1
 
 
+def test_cli_sweep_lambda_max_flags_a_singular_solve(capsys, monkeypatch):
+    # with no bordered inverse the census has no operator: the point is
+    # flagged in-row like a gated moment solve, and the sweep exits 0
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert cli.main(["sweep", *RING7, "--dist", "exp", "--axis", "mean_tau", "--grid", "0.6",
+                     "--outputs", "lambda_max", "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert rows == [{"mean_tau": 0.6, "lambda_max": "", "status": "ill-conditioned cond~inf",
+                     "condition": None}]
+
+
+def test_cli_sweep_lambda_max_flags_arnoldi_past_the_gate(capsys):
+    # 1e-10 from ring 7's exceptional period 2 pi / (E_3 - E_0) the solves
+    # carry cond ~5e19 and spoil the Ritz values beside rho; the census
+    # raises the gate's error, so the point is flagged in-row and the
+    # sweep exits 0 rather than 1
+    sd = ring_spectrum(7, 1.0, 1, 0)
+    tau = float(2 * np.pi / (sd.energies[3] - sd.energies[0]) * (1 + 1e-10))
+    assert cli.main(["sweep", *RING7, "--dist", "fixed", "--axis", "mean_tau",
+                     "--grid", f"1.0,{tau!r}", "--outputs", "lambda_max", "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert rows[0]["status"] == "ok" and "condition" not in rows[0]
+    assert rows[1]["lambda_max"] == "" and rows[1]["condition"] > 1e19
+    assert rows[1]["status"] == f"ill-conditioned cond~{rows[1]['condition']:.3e}"
+
+
 def test_cli_sweep_csv_bytes(capsys):
     # the condition rides on the JSON rows only; the CSV keeps its columns
     assert cli.main(["sweep", *RING7, "--dist", "fixed", "--axis", "mean_tau",
@@ -471,7 +501,7 @@ def test_cli_sweep_lambda_max_matches_dense_perron_root(capsys):
     sd = spectral_reduce(build_ring(40, 1.0, 20, 0))
     for row in rows[1:]:
         sset = build_superops(sd, ExponentialInterval(float(row[0])))
-        rho = np.abs(np.linalg.eigvals(sset.transfer)).max()
+        rho = np.abs(np.linalg.eigvals(verify.transfer(sset))).max()
         assert abs(float(row[1]) - rho) <= 1e-12 and row[2] == "ok"
 
 

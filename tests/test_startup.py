@@ -1,7 +1,7 @@
 """Start-up tests: what a fresh ``qprobe`` process imports.
 
 ``fn``, ``mc``, ``--help``, input errors, ``stats`` and every sweep, the
-Arnoldi census above Nr = 12 included, run on numpy alone; scipy is
+Arnoldi census included, run on numpy alone; scipy is
 imported only for ``verify``'s matrix-exponential oracle.
 """
 
@@ -58,7 +58,7 @@ print(json.dumps({{"codes": codes, "scipy": sorted(
 """
 
 
-# a lambda_max-only sweep at Nr = 4 runs the dense census and no factorization,
+# a lambda_max-only sweep at Nr = 4 runs the Arnoldi census on numpy alone,
 # so scipy, whose numpy.testing import loads concurrent.futures, stays out
 SWEEP_SERIAL = f"""
 import contextlib, io, json, sys, threading
@@ -106,15 +106,15 @@ def test_commands_without_a_solve_never_import_scipy():
 
 
 def test_moment_solves_never_import_scipy():
-    # a moments sweep at Nr = 13, stats at Nr = 4 (dense census) and 13
-    # (Arnoldi census), and a lambda_max sweep at Nr = 13 (Arnoldi census)
+    # a moments sweep at Nr = 13, stats at Nr = 4 and 13, and a lambda_max
+    # sweep at Nr = 13, each census by Arnoldi
     proc = _fresh_python("-c", SOLVES)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def test_stats_in_a_fresh_process_matches_in_process(capsys):
-    # Nr = 13 > 12: the census runs Arnoldi on the structured solve
+    # Nr = 13: the census runs Arnoldi on the structured solve
     argv = ["stats", "--L", "24", "--gamma", "1", "--xin", "12", "--xd", "0",
             "--dist", "gamma", "--alpha", "5", "--mean", "0.6"]
     proc = _fresh_python("-m", "qprobe.cli", *argv)

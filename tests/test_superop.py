@@ -23,7 +23,8 @@ from qprobe.model import (SpectralData, build_dense, build_ring, build_two_level
                           ring_spectrum, spectral_full, spectral_reduce)
 from qprobe.superop import (build_superops, detection_stats, fn_series,
                             universal_identity_check, zero_mode_census)
-from qprobe.verify import dense_reference_stats, run_verify, stroboscopic_fn_direct
+from qprobe.verify import (dense_reference_stats, proj_kron, resolvent, run_verify,
+                           stroboscopic_fn_direct, transfer)
 
 
 def tls_superops(dist, gamma=1.0, x_in=0):
@@ -39,7 +40,7 @@ def test_tls_return_projection_kron_matrix():
         [-1, 1, 1, -1],
         [1, -1, -1, 1],
     ])
-    assert np.allclose(sset.proj_kron, expect, atol=1e-14)
+    assert np.allclose(proj_kron(sset), expect, atol=1e-14)
 
 
 def test_tls_phase_avg_diagonal():
@@ -129,7 +130,7 @@ def test_transfer_hermiticity_pairing():
     sd = spectral_reduce(build_ring(7, 1.0, 2, 0))
     sset = build_superops(sd, ExponentialInterval(0.6))
     n = sd.reduced_dim
-    m = sset.transfer.reshape(n, n, n, n)
+    m = transfer(sset).reshape(n, n, n, n)
     assert np.max(np.abs(m - m.transpose(1, 0, 3, 2).conj())) < 1e-14
 
 
@@ -160,10 +161,11 @@ def test_series_shape_and_total_mass_l24():
     assert np.all(series > -1e-10)
     # the complex bilinear form carries only roundoff in its imaginary part
     v = sset.phase_avg * sset.source_vec
+    t = transfer(sset)
     imag_residue = 0.0
     for _ in range(60):
         imag_residue = max(imag_residue, abs(v.sum().imag))
-        v = sset.transfer @ v
+        v = t @ v
     assert imag_residue < 1e-10
     # ballistic rise peaks around n ~ 11-12, then exponential decay
     assert 10 <= int(np.argmax(series[:30])) + 1 <= 14
@@ -262,7 +264,12 @@ PERRON_CASES += [(f"dense_nr14_{name}", degenerate_model_nr14, dist)
                  for name, dist in (("exp", ExponentialInterval(0.6)),
                                     ("gamma", GammaInterval(10.0, 0.6)))]
 PERRON_CASES += [("ring8_fixed0.6", lambda: spectral_reduce(build_ring(8, 1.0, 4, 0)),
-                  FixedInterval(0.6))]
+                  FixedInterval(0.6)),
+                 # Nr = 4 and 2: the basis spans the pair space in one sweep
+                 ("ring7_gamma", lambda: spectral_reduce(build_ring(7, 1.0, 1, 0)),
+                  GammaInterval(10.0, 0.6)),
+                 ("tls_fixed0.7", lambda: spectral_reduce(build_two_level(1.0, x_in=1, x_d=0)),
+                  FixedInterval(0.7))]
 
 
 @pytest.mark.parametrize("make_sd, dist", [c[1:] for c in PERRON_CASES],
@@ -274,8 +281,8 @@ def test_zero_mode_census_perron_root_matches_dense(make_sd, dist):
     sd = make_sd()
     sset = build_superops(sd, dist)
     census = zero_mode_census(sset)
-    mags = np.abs(np.linalg.eigvals(sset.transfer))
-    assert census.structural == (sd.reduced_dim > 12)
+    mags = np.abs(np.linalg.eigvals(transfer(sset)))
+    assert census.structural
     assert abs(census.slowest_decay - mags.max()) <= 1e-12
     assert census.slowest_decay.imag == 0.0
     n_zero = int(np.sum(mags < 1e-8))
@@ -292,7 +299,7 @@ def test_arnoldi_ritz_values_match_dense_eigvals_at_nr21(dist):
     census = zero_mode_census(sset)
     solve = sset._solver.solve
     nu, solves = superop._dominant_eigenvalues(lambda x: -solve(x), 21**2)
-    lam = np.linalg.eigvals(sset.transfer)
+    lam = np.linalg.eigvals(transfer(sset))
     nearest = lam[np.argsort(np.abs(lam - 1.0))[:3]]
     assert solves == census.solves > superop.ARNOLDI_NCV
     assert np.abs(np.sort_complex(1.0 + 1.0 / nu) - np.sort_complex(nearest)).max() <= 1e-12
@@ -316,6 +323,34 @@ def test_arnoldi_continues_past_an_invariant_start_vector():
     lam = np.linalg.eigvals(a)
     dominant = lam[np.argsort(-np.abs(lam))[:3]]
     assert np.abs(nu - dominant).max() <= 1e-12 * abs(dominant[0])
+
+
+def normal_map(m):
+    """An m x m normal matrix with eigenvalue moduli 1 .. m, random phases."""
+    rng = np.random.default_rng(m)
+    lam = np.arange(1.0, m + 1) * np.exp(2j * np.pi * rng.random(m))
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return (q * lam) @ q.conj().T
+
+
+# rows summing to 2: the all-ones start vector is an eigenvector, so the
+# first step leaves a zero residual with three directions unspanned
+ONES_EIGENVECTOR_MAP = np.array([[3.0, -1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0],
+                                 [1.0, 0.0, 0.5, 0.5], [0.0, 0.0, -2.0, 4.0]])
+
+
+@pytest.mark.parametrize("a", [normal_map(1), normal_map(4), normal_map(16), ONES_EIGENVECTOR_MAP],
+                         ids=["m1", "m4", "m16", "m4_ones_eigenvector"])
+def test_arnoldi_on_a_space_within_one_basis_is_exact(a):
+    # m <= ARNOLDI_NCV: the basis spans C^m after m steps and the sweep ends
+    # with a zero residual, taking no random continuation vector there (at
+    # m = 1 it would divide by a zero norm, a warning); the Ritz values are
+    # then the eigenvalues, found without a restart
+    m = len(a)
+    nu, calls = superop._dominant_eigenvalues(lambda x: a @ x, m)
+    lam = np.linalg.eigvals(a)
+    assert calls == m
+    assert np.abs(nu - lam[np.argsort(-np.abs(lam))[:superop.ARNOLDI_NEV]]).max() <= 1e-13 * m
 
 
 def test_zero_mode_census_holds_no_nr4_array():
@@ -364,16 +399,19 @@ def test_pair_space_solves_allocate_only_their_result(monkeypatch):
         assert peak <= 1.1 * 16 * 81**2, call
 
 
-def test_zero_mode_census_falls_back_to_dense_when_solve_is_singular():
+def test_zero_mode_census_raises_when_solve_is_singular():
     # the full 26-site space keeps degenerate pairs (phi_jk = 1) and dark
-    # states (p_j = 0), so no structured solve exists; dark states are
-    # never detected, so the Perron root is 1
-    sset = build_superops(spectral_full(build_ring(26, 1.0, 1, 0)), ExponentialInterval(0.6))
+    # states (p_j = 0), so no structured solve exists; the census raises
+    # the error detection_stats raises, naming the same pairs and weight
+    dist = ExponentialInterval(0.6)
+    sset = build_superops(spectral_full(build_ring(26, 1.0, 1, 0)), dist)
     assert sset.dim == 26
-    census = zero_mode_census(sset)
-    assert not census.structural
-    assert census.slowest_decay == pytest.approx(1.0, abs=1e-12)
-    assert (census.n_zero, census.n_nonzero) == (51, 26**2 - 51)
+    with pytest.raises(IllConditionedError) as census_info:
+        zero_mode_census(sset)
+    with pytest.raises(IllConditionedError) as stats_info:
+        detection_stats(sset, dist)
+    assert census_info.value.condition == np.inf and census_info.value.p_min == 0.0
+    assert str(census_info.value) == str(stats_info.value)
 
 
 @pytest.mark.parametrize("ritz", [None, [0.99 + 1e-6j, 0.5, 0.2],
@@ -428,10 +466,10 @@ def test_transfer_refuses_arrays_over_the_dense_budget():
     sset = build_superops(spectral_reduce(build_ring(180, 1.0, 90, 0)),
                           ExponentialInterval(0.6))
     assert sset.dim == 91
-    for make in (lambda: sset.transfer, lambda: sset.resolvent, lambda: sset.proj_kron):
+    for make in (transfer, resolvent, proj_kron):
         tracemalloc.start()
         with pytest.raises(DenseSizeError, match="array at Nr=91 needs 1097199376 bytes"):
-            make()
+            make(sset)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 16 * 91**2 * 64
@@ -454,7 +492,7 @@ def test_trivial_one_dimensional_space():
     assert sd.reduced_dim == 1
     dist = ExponentialInterval(0.6)
     sset = build_superops(sd, dist)
-    assert np.allclose(sset.transfer, 0.0)
+    assert np.allclose(transfer(sset), 0.0)
     census = zero_mode_census(sset)
     assert (census.n_zero, census.n_nonzero) == (1, 0)
     st = detection_stats(sset, dist)
@@ -716,20 +754,20 @@ def test_structured_survival_matches_dense_superoperators(model_name, dist_name)
     # the on-demand dense matrices are the Kronecker construction; a fixed
     # interval merges the repeated levels of the full space
     surv = np.eye(n) - np.outer(sset.p_detect, np.ones(n))
-    assert np.max(np.abs(sset.proj_kron - np.kron(surv, surv))) <= 1e-14
-    transfer = sset.transfer
-    assert np.max(np.abs(transfer - sset.phase_avg[:, None] * np.kron(surv, surv))) <= 1e-14
-    assert np.max(np.abs(sset.resolvent - (np.eye(n * n) - transfer))) <= 1e-14
+    assert np.max(np.abs(proj_kron(sset) - np.kron(surv, surv))) <= 1e-14
+    t = transfer(sset)
+    assert np.max(np.abs(t - sset.phase_avg[:, None] * np.kron(surv, surv))) <= 1e-14
+    assert np.max(np.abs(resolvent(sset) - (np.eye(n * n) - t))) <= 1e-14
     # structured S (x) S apply against the dense product
     rng = np.random.default_rng(3)
     v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
-    assert np.max(np.abs(sset.survive(v) - sset.proj_kron @ v)) <= 1e-14
+    assert np.max(np.abs(sset.survive(v) - proj_kron(sset) @ v)) <= 1e-14
     # fn_series against dense powers of the transfer matrix
     w = sset.phase_avg * sset.source_vec
     dense = np.empty(60)
     for i in range(60):
         dense[i] = w.sum().real
-        w = transfer @ w
+        w = t @ w
     assert np.max(np.abs(fn_series(sset, 60) - dense)) <= 1e-14
     # moments against a dense solve; the full space keeps repeated levels
     # and dark states, singular for every law that merges nothing
@@ -758,7 +796,7 @@ def test_dense_resolvent_is_the_only_nr4_allocation():
     sset = build_superops(spectral_reduce(build_ring(40, 1.0, 20, 0)),
                           ExponentialInterval(0.6))
     nr4_bytes = 16 * sset.dim**4
-    for make in (lambda: sset.transfer, lambda: sset.resolvent,
+    for make in (lambda: transfer(sset), lambda: resolvent(sset),
                  lambda: detection_stats(sset, ExponentialInterval(0.6))):
         tracemalloc.start()
         make()
@@ -868,7 +906,7 @@ def test_resolvent_norm1_matches_the_dense_column_sums(model_name, dist_name):
         sets.append(build_superops(sd, FixedInterval(tau_c)))
         assert sets[-1].dim == 3
     for s in sets:
-        dense = np.abs(s.resolvent).sum(axis=0).max()
+        dense = np.abs(resolvent(s)).sum(axis=0).max()
         got = superop._resolvent_norm1(s.p_detect, s.phase_avg.reshape(s.dim, s.dim))
         assert abs(got - dense) <= 1e-14 * dense
 
@@ -887,7 +925,7 @@ def test_structured_forward_and_adjoint_solves_match_dense(model_name):
     rng = np.random.default_rng(4)
     for dist_name, dist in CROSS_DISTS.items():
         sset = build_superops(sd, dist)
-        solver, j = sset._solver, sset.resolvent
+        solver, j = sset._solver, resolvent(sset)
         b = rng.normal(size=len(j)) + 1j * rng.normal(size=len(j))
         for solve, dense in ((solver.solve, j), (solver.solve_adjoint, j.conj().T)):
             ref = np.linalg.solve(dense, b)
@@ -939,11 +977,11 @@ def test_one_bordered_factorization_per_superoperator_set(capsys, bordered_inver
     assert len(bordered_inverses) == 1
 
 
-@pytest.mark.parametrize("L, x_in, factors", [(9, 2, 0), (24, 12, 2)])
+@pytest.mark.parametrize("L, x_in, factors", [(9, 2, 2), (24, 12, 2)])
 def test_lambda_max_sweep_factors_only_for_the_census(capsys, bordered_inverses,
                                                       L, x_in, factors):
-    # Nr = 5 takes the dense census and inverts nothing; Nr = 13 inverts once
-    # a point for the shift-invert census and nothing for a condition
+    # Nr = 5 and 13 invert once a point for the shift-invert census and
+    # nothing for a condition
     assert cli.main(["sweep", "--L", str(L), "--gamma", "1", "--xin", str(x_in),
                      "--xd", "0", "--dist", "exp", "--axis", "mean_tau",
                      "--grid", "0.5,0.6", "--outputs", "lambda_max"]) == 0
@@ -965,7 +1003,7 @@ def test_singular_full_space_raises_without_pseudo_inverse():
 
 def test_singular_bordered_matrix_leaves_the_condition_infinite(monkeypatch):
     # an exactly singular bordered matrix makes numpy.linalg.inv raise:
-    # nothing is inverted, the gate fires and the census takes dense eigvals
+    # nothing is inverted, and the gate and the census both raise
     def singular(a):
         raise np.linalg.LinAlgError("Singular matrix")
 
@@ -976,8 +1014,9 @@ def test_singular_bordered_matrix_leaves_the_condition_infinite(monkeypatch):
     with pytest.raises(IllConditionedError) as info:
         detection_stats(sset, dist)
     assert info.value.condition == np.inf
-    census = zero_mode_census(sset)
-    assert census.structural is False and census.n_zero + census.n_nonzero == 13**2
+    with pytest.raises(IllConditionedError) as info:
+        zero_mode_census(sset)
+    assert info.value.condition == np.inf
 
 
 @pytest.mark.filterwarnings("error")
