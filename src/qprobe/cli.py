@@ -99,8 +99,8 @@ def _array_length(flag: str, n: int) -> int:
 
 def _reduce_from_args(args, cfg):
     """The spectral reduction of the configured model, and the model's
-    dimension N.  A ring is reduced in its sector even about the detector,
-    without its L x L Hamiltonian."""
+    dimension N.  A ring is reduced in closed form in its sector even about
+    the detector, without its L x L Hamiltonian."""
     tol = _positive("--degeneracy-tol", args.degeneracy_tol)
     ring = cfgmod.ring_from_config(cfg)
     if ring is not None:

@@ -18,20 +18,18 @@ with an imaginary part that is exactly zero: every ring, the two-level
 model and every real dense config.  Its symmetry is then checked, and
 it is diagonalized, in real arithmetic.
 
-A ring needs no L x L matrix at all.  Its bright states lie in the
-sector even under the reflection x_d + k <-> x_d - k about the detector,
-the Hilbert space "symmetrized about the target state", of dimension
-floor(L/2) + 1.  In the basis |x_d>, (|x_d+k> + |x_d-k>)/sqrt 2 and,
-for even L, |x_d+L/2>, H is the real tridiagonal Jacobi matrix of psi_d
-(Golub and Welsch, Math. Comp. 23, 1969): hopping -sqrt(2) gamma on the
-end bonds and -gamma elsewhere, -gamma on the last diagonal entry for
-odd L.  ``ring_spectrum`` diagonalizes that matrix; its eigenvalues are
-the levels k = 0 .. floor(L/2), the squares of the eigenvectors' first
-entries the weights p_j, and the initial state enters through its
-projection onto the sector.  Clusters
-are weighted by each level's full-space multiplicity (1 at k = 0 and
-k = L/2, 2 otherwise), so they and their energies match
-``spectral_reduce(build_ring(...))`` up to rounding.
+A ring needs no L x L matrix and no eigensolver.  Its bright states lie
+in the sector even under the reflection x_d + k <-> x_d - k about the
+detector, the Hilbert space "symmetrized about the target state", of
+dimension floor(L/2) + 1, and there its eigenpairs are known in closed
+form: level k = 0 .. floor(L/2) has energy -2 gamma cos(2 pi k / L) and
+the cosine eigenvector sqrt(m_k / L) cos(2 pi k (x - x_d) / L), where m_k
+is the level's multiplicity in the ring (1 at k = 0 and k = L/2, 2
+otherwise).  ``ring_spectrum`` reads the weights p_k = m_k / L and the
+initial state's overlaps off those vectors in O(L) time and memory, and
+clusters the levels weighted by m_k, so its clusters and energies match
+``spectral_reduce(build_ring(...))`` up to rounding.  It keeps
+``build_ring``'s L <= 8192 guard only so that both reject the same rings.
 """
 
 from __future__ import annotations
@@ -310,39 +308,26 @@ def ring_spectrum(L: int, gamma: float, x_in: int, x_d: int,
     even about x_d, of dimension Nr = floor(L/2) + 1, without the L x L H.
 
     The arguments are checked as ``build_ring`` checks them, with its
-    errors and messages.  One real ``eigh`` of the Nr x Nr Jacobi matrix
-    gives the levels -2 gamma cos(2 pi k / L) in order of k, and p_j =
-    u_j(0)^2.  |x_in> projects onto the sector as the basis vector of
-    k = +-(x_in - x_d) mod L, with weight 1/sqrt 2 off the mirror axis.
-    Clusters weight each level by its multiplicity in the ring and floor
-    the tolerance at 8 L eps max|E|, so every ``degeneracy_tol`` gives the
-    clusters of the full space; the fields agree with it to rounding.
+    errors and messages; the L <= 8192 guard is kept only for that parity,
+    since nothing here is L x L.  Level k = 0 .. Nr - 1 has the energy
+    -2 gamma cos(2 pi k / L), p_k = m_k / L and the cross amplitude
+    (m_k / L) cos(2 pi k (x_in - x_d) / L), the phase reduced mod L in
+    integers; m_k = 1 at k = 0 and L/2, 2 otherwise.  Clusters weight each
+    level by m_k and floor the tolerance at 8 L eps max|E|, so every
+    ``degeneracy_tol`` gives the clusters of the full space; the fields
+    agree with it to rounding.  Time and memory are O(L); no eigensolver
+    runs.
     """
     _check_ring(L, gamma, x_in, x_d)
     _check_degeneracy_tol(degeneracy_tol)
-    nr, even = L // 2 + 1, L % 2 == 0
-    bonds = np.full(nr - 1, -gamma)
-    if L == 2:
-        bonds[0] = -2.0 * gamma     # both bonds of x_d reach the one other site
-    else:
-        bonds[0] *= math.sqrt(2.0)
-        if even:
-            bonds[-1] *= math.sqrt(2.0)
-    h = np.diag(bonds, 1)
-    h += h.T
-    if not even:
-        h[-1, -1] = -gamma          # x_d + (L+1)/2 is the mirror image of x_d - (L-1)/2
-    if not np.isfinite(h).all():
-        raise InvalidModelError("hamiltonian has a non-finite entry")
-    w, u = np.linalg.eigh(h)
-    mult = np.full(nr, 2.0)         # level k pairs with L - k, except k = 0 and L/2
-    mult[0] = 1.0
-    if even:
-        mult[-1] = 1.0
-    k = min((x_in - x_d) % L, (x_d - x_in) % L)
-    comp_in = u[k] if k == 0 or 2 * k == L else u[k] * math.sqrt(0.5)
-    return _reduce(w, u[0], comp_in.astype(complex), mult, L, degeneracy_tol,
-                   f"ring L={L} gamma={gamma} {x_in}->{x_d}")
+    if not math.isfinite(2.0 * gamma if L == 2 else gamma):
+        raise InvalidModelError("hamiltonian has a non-finite entry")   # as build_ring's H
+    k = np.arange(L // 2 + 1)
+    mult = np.where((k == 0) | (2 * k == L), 1.0, 2.0)   # k pairs with L - k
+    comp_d = np.sqrt(mult / L)
+    comp_in = comp_d * np.cos(2 * np.pi / L * (k * (x_in - x_d) % L))
+    return _reduce(-2.0 * gamma * np.cos(2 * np.pi / L * k), comp_d, comp_in.astype(complex),
+                   mult, L, degeneracy_tol, f"ring L={L} gamma={gamma} {x_in}->{x_d}")
 
 
 def spectral_full(model: QuantumModel) -> SpectralData:

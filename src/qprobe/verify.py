@@ -22,7 +22,8 @@ import numpy as np
 from .closedform import ring_nbar_exp, ring_nsq_exp, ring_tsq_exp, tls_stats
 from .errors import DenseSizeError, QprobeError
 from .intervals import ExponentialInterval, FixedInterval, GammaInterval
-from .model import DENSE_MAX_BYTES, QuantumModel, build_ring, build_two_level, spectral_reduce
+from .model import (DENSE_MAX_BYTES, QuantumModel, build_ring, build_two_level, ring_spectrum,
+                    spectral_reduce)
 from .superop import (SuperoperatorSet, build_superops, detection_stats, fn_series,
                       universal_identity_check, zero_mode_census)
 from .trajectory import run_bernoulli, run_per_realization
@@ -222,6 +223,23 @@ def _check_ring_closedform_spot():
             _ring_closedform_case(L, x_d, gamma, 0.6)
 
 
+def _check_ring_sector_vs_full_space():
+    # the CLI reduces a ring from its sector's closed form, the rest of the
+    # suite from eigh of H: an even and an odd ring, a return and an arrival
+    eps = np.finfo(float).eps
+    for L, x_d, starts in ((64, 0, (0, 17)), (65, 40, (40, 3))):
+        for x_in in starts:
+            full = spectral_reduce(build_ring(L, 1.0, x_in, x_d))
+            sector = ring_spectrum(L, 1.0, x_in, x_d)
+            assert (sector.reduced_dim, sector.degeneracy_tol, sector.label) == (
+                full.reduced_dim, full.degeneracy_tol, full.label), full.label
+            de = np.abs(sector.energies - full.energies).max()
+            dw = max(np.abs(getattr(sector, name) - getattr(full, name)).max()
+                     for name in ("p_detect", "cross_amp", "p_init"))
+            assert de <= 32 * eps and dw <= 64 * eps, (
+                f"{full.label}: energies differ by {de:.3g}, weights by {dw:.3g}")
+
+
 def _check_stroboscopic_quick():
     for model in (build_two_level(1.0), build_ring(5, 1.0, 1, 0)):
         dist = FixedInterval(0.7)
@@ -294,6 +312,7 @@ CHECKS = [
     ("structured_vs_dense", "quick", _check_structured_vs_dense),
     ("tls-closedform-vs-exact", "quick", _check_tls_closedform_match),
     ("ring-closedform-spot", "quick", _check_ring_closedform_spot),
+    ("ring-sector-vs-full-space", "quick", _check_ring_sector_vs_full_space),
     ("stroboscopic-oracle-quick", "quick", _check_stroboscopic_quick),
     ("exceptional-fixed-interval", "quick", _check_exceptional_fixed_interval),
     ("ring-closedform-grid-3-16", "full", _check_ring_closedform_grid),

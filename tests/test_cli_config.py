@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -132,9 +133,9 @@ def test_cli_stats_reports_census_method_and_solves(capsys, L, x_in, method, sol
     assert list(doc) == ["config", "reduced_dim", "stats", "zero_modes", "diagnostics"]
 
 
-# the ring CLI reduces in the sector even about the detector; against the
-# full-space API it moves by rounding times the condition (measured at most
-# 6.1e-14 relative on these rings, 2e-12 at L = 160, cond ~1e3)
+# the ring CLI reduces in closed form in the sector even about the detector;
+# against the full-space API it moves by rounding times the condition
+# (measured at most 7.6e-14 relative on these rings, 1.1e-12 at L = 160)
 SECTOR_RTOL = 1e-11
 
 
@@ -165,6 +166,25 @@ def test_cli_ring_output_matches_the_full_space_api(capsys, L, x_in, flags, dist
     row = json.loads(capsys.readouterr().out)["rows"][-1]
     for key in ("p_det", "n_mean", "t_mean", "n_sq", "t_sq"):
         assert row[key] == pytest.approx(getattr(stats, key), rel=SECTOR_RTOL, abs=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--dist", "fixed", "--tau", "0.7"],
+    ["fn", "--dist", "exp", "--mean", "0.6", "--nmax", "50"],
+    ["sweep", "--dist", "gamma", "--alpha", "5", "--axis", "mean_tau", "--grid", "0.5,1",
+     "--outputs", "p_det,n_mean,n_sq,lambda_max"],
+])
+def test_cli_ring_runs_no_eigensolver(monkeypatch, capsys, argv):
+    # a ring's levels come in closed form: the benchmark's L = 80 ring
+    # reaches neither eigh nor eigvalsh through stats, fn or sweep
+    def reached(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, reached)
+    ring = ["--L", "80", "--gamma", "1", "--xin", "17", "--xd", "0"]
+    assert cli.main([*argv, *ring]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flags, dist", [
@@ -749,7 +769,7 @@ def no_compute(monkeypatch):
 
 @pytest.fixture
 def no_solve(monkeypatch, no_compute):
-    """``no_compute``, and the model's eigendecomposition, of a ring's sector
+    """``no_compute``, and the model's spectral reduction, of a ring's sector
     or of a full space, fails too: for the inputs checked before any solve."""
     def reached(*args, **kwargs):
         raise AssertionError("a spectral reduction reached before the inputs were checked")
@@ -1143,3 +1163,19 @@ def test_cli_verify_names_a_check_that_fails_its_assertion(monkeypatch, capsys):
     assert lines[at] == "FAIL zero-mode-census: slowest decay 0.5 is not the dense 0.9"
     assert sum(line.startswith("FAIL") for line in lines) == 1
     assert err == "" and "Traceback" not in out
+
+
+def test_cli_verify_catches_a_ring_sector_off_by_rounding(monkeypatch, capsys):
+    # the ring check compares the CLI's closed-form reduction with eigh of
+    # H at 32 eps (energies) and 64 eps (weights); shifting every closed-form
+    # weight by 100 eps fails it, and only it
+    def shifted(*args, **kwargs):
+        sd = ring_spectrum(*args, **kwargs)
+        return dataclasses.replace(sd, p_detect=sd.p_detect + 100 * np.finfo(float).eps)
+
+    monkeypatch.setattr(verify, "ring_spectrum", shifted)
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL ring-sector-vs-full-space: ring L=64 gamma=1.0 0->0: "
+                               "energies differ by")

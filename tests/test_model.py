@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from qprobe.closedform import ring_nbar_exp
 from qprobe.config import model_from_config
 from qprobe.errors import InvalidModelError
 from qprobe.intervals import ExponentialInterval, GammaInterval
-from qprobe.model import (DEFAULT_DEGENERACY_TOL, QuantumModel, _cluster_starts, basis_state,
-                          build_dense, build_ring, build_two_level, ring_spectrum,
-                          spectral_full, spectral_reduce)
+from qprobe.model import (DEFAULT_DEGENERACY_TOL, QuantumModel, _cluster_starts, _reduce,
+                          basis_state, build_dense, build_ring, build_two_level,
+                          ring_spectrum, spectral_full, spectral_reduce)
 from qprobe.superop import build_superops, detection_stats
 from qprobe.trajectory import run_bernoulli, run_per_realization
 
@@ -407,6 +408,38 @@ def test_monte_carlo_records_do_not_see_the_real_hamiltonian(mode):
     assert a.summary() == b.summary()
 
 
+def jacobi_sector_spectrum(L, gamma, x_in, x_d, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
+    """``ring_spectrum``'s slow twin: a real ``eigh`` of psi_d's Jacobi matrix
+    in the ring's sector even about x_d (Golub and Welsch, Math. Comp. 23,
+    1969).  In the basis |x_d>, (|x_d+k> + |x_d-k>)/sqrt 2 and, for even L,
+    |x_d+L/2>, H has hopping -sqrt(2) gamma on the end bonds and -gamma
+    elsewhere, and -gamma on the last diagonal entry for odd L.  Its
+    eigenvalues are the levels k = 0 .. L/2, the squares of the eigenvectors'
+    first entries the weights, and |x_in> projects onto the basis vector of
+    k = +-(x_in - x_d) mod L, with weight 1/sqrt 2 off the mirror axis."""
+    nr, even = L // 2 + 1, L % 2 == 0
+    bonds = np.full(nr - 1, -gamma)
+    if L == 2:
+        bonds[0] = -2.0 * gamma     # both bonds of x_d reach the one other site
+    else:
+        bonds[0] *= np.sqrt(2.0)
+        if even:
+            bonds[-1] *= np.sqrt(2.0)
+    h = np.diag(bonds, 1)
+    h += h.T
+    if not even:
+        h[-1, -1] = -gamma          # x_d + (L+1)/2 is the mirror image of x_d - (L-1)/2
+    w, u = np.linalg.eigh(h)
+    mult = np.full(nr, 2.0)         # level k pairs with L - k, except k = 0 and L/2
+    mult[0] = 1.0
+    if even:
+        mult[-1] = 1.0
+    k = min((x_in - x_d) % L, (x_d - x_in) % L)
+    comp_in = u[k] if k == 0 or 2 * k == L else u[k] * np.sqrt(0.5)
+    return _reduce(w, u[0], comp_in.astype(complex), mult, L, degeneracy_tol,
+                   f"ring L={L} gamma={gamma} {x_in}->{x_d}")
+
+
 ANALYTIC_RINGS = [(2, 1.0, 1, 0), (7, 1.0, 3, 0), (64, 0.8, 17, 5), (65, 2.5, 0, 40),
                   (1001, 1.0, 300, 2), (3000, 1.3, 1717, 9)]
 
@@ -424,8 +457,9 @@ def test_spectral_reduce_matches_the_analytic_ring(L, gamma, x_in, x_d, sector):
     # nearest level (Davis-Kahan): gap = 2 gamma (1 - cos(2 pi / L)) at k = 0.
     # Measured at L = 3000: energies within 14 eps max|E|, p and the
     # amplitudes within 1.6 eps max|E| / gap of 1/L.  The same bounds hold
-    # for the ring's sector even about x_d, which ``ring_spectrum`` solves
-    sd = (ring_spectrum(L, gamma, x_in, x_d) if sector
+    # for eigh of the Jacobi matrix of the ring's sector even about x_d, the
+    # slow path to the closed form that ``ring_spectrum`` evaluates
+    sd = (jacobi_sector_spectrum(L, gamma, x_in, x_d) if sector
           else spectral_reduce(build_ring(L, gamma, x_in, x_d)))
     k = np.arange(L // 2 + 1)
     ends = (k == 0) | (2 * k == L)
@@ -434,22 +468,26 @@ def test_spectral_reduce_matches_the_analytic_ring(L, gamma, x_in, x_d, sector):
     amp = p * np.cos(2 * np.pi * k * (x_in - x_d) / L)
     scale = np.finfo(float).eps * 2 * gamma
     gap = 2 * gamma * (1 - np.cos(2 * np.pi / L))
-    assert sd.reduced_dim == len(k)
-    assert np.abs(sd.energies - energies).max() <= 64 * scale
-    assert np.abs(sd.p_detect - p).max() * L <= 10 * scale / gap
-    assert np.abs(sd.cross_amp - amp).max() * L <= 10 * scale / gap
-    assert np.abs(sd.p_init - amp**2 / p).max() * L <= 10 * scale / gap
+    pairs = [(sd, (energies, p, amp, amp**2 / p))]
+    if sector:      # and the closed form against that slow path, at the same bounds
+        pairs.append((ring_spectrum(L, gamma, x_in, x_d),
+                      (sd.energies, sd.p_detect, sd.cross_amp, sd.p_init)))
+    for got, want in pairs:
+        assert got.reduced_dim == len(k)
+        assert np.abs(got.energies - want[0]).max() <= 64 * scale
+        for name, ref in zip(("p_detect", "cross_amp", "p_init"), want[1:]):
+            assert np.abs(getattr(got, name) - ref).max() * L <= 10 * scale / gap, name
 
 
 # ring_spectrum against spectral_reduce(build_ring(...)), both at gamma = 1,
-# so max|E| <= 2: measured over every case below at most 10 eps on the
-# energies and 18.4 eps on p, the cross amplitudes and p_init (3.1e-15 and
-# 2.8e-14 at L = 80 .. 2000, not run here)
+# so max|E| <= 2: measured over every case below at most 9 eps on the
+# energies and 18.3 eps on p, the cross amplitudes and p_init, the largest
+# at L = 160
 SECTOR_ENERGY_ATOL = 32 * np.finfo(float).eps
 SECTOR_WEIGHT_ATOL = 64 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("L", range(2, 65))
+@pytest.mark.parametrize("L", [*range(2, 65), 80, 160])
 def test_ring_spectrum_matches_the_full_space_reduction(L):
     # every start site, the detector at both ends of the site range, and the
     # default, a fine and a coarse tolerance: the same clusters, the same
@@ -497,3 +535,16 @@ def test_ring_spectrum_refuses_the_dense_budget_before_allocating(monkeypatch):
 def test_ring_spectrum_rejects_bad_degeneracy_tol(tol):
     with pytest.raises(ValueError, match="degeneracy_tol"):
         ring_spectrum(5, 1.0, 1, 0, degeneracy_tol=tol)
+
+
+def test_ring_spectrum_runs_in_linear_memory():
+    # the closed form holds a few arrays of L/2 + 1 floats at the guard's
+    # largest ring (0.60 MiB traced); one Nr x Nr matrix would be 128 MiB
+    ring_spectrum(8192, 1.0, 1, 0)
+    tracemalloc.start()
+    try:
+        sd = ring_spectrum(8192, 1.0, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.reduced_dim == 4097 and peak < 1 << 20
